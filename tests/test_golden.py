@@ -1,0 +1,54 @@
+"""Golden CLI outputs: every case below must reproduce its committed file in
+tests/golden/ byte for byte. The cases are the criterion-8 command set in
+every format, plus `enumerate` (json) and `traces` (csv) for each catalog
+group at radius 6.
+
+The files are the regression oracle for refactors. Regenerate them only for
+an intended output change, and say so in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from tracelab import catalog_names
+from tracelab.cli import main
+
+from test_acceptance import CLI_COMMANDS
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+CASES = [(argv, fmt) for argv in CLI_COMMANDS for fmt in ("json", "csv", "data")]
+CASES += [(["enumerate", "--group", name, "--radius", "6"], "json")
+          for name in catalog_names()]
+CASES += [(["traces", "--group", name, "--radius", "6"], "csv")
+          for name in catalog_names()]
+
+
+def golden_path(argv, fmt) -> Path:
+    stem = re.sub(r"[^A-Za-z0-9().+-]", "_", "_".join(a.removeprefix("--") for a in argv))
+    return GOLDEN_DIR / f"{stem}.{fmt}"
+
+
+def test_golden_set_is_exactly_the_cases():
+    assert sorted(GOLDEN_DIR.iterdir()) == sorted(golden_path(a, f) for a, f in CASES)
+
+
+@pytest.mark.parametrize("argv,fmt", CASES,
+                         ids=[golden_path(a, f).name for a, f in CASES])
+def test_output_matches_golden(argv, fmt, tmp_path):
+    out = tmp_path / "out"
+    assert main(argv + ["--format", fmt, "--output", str(out)]) == 0
+    assert out.read_bytes() == golden_path(argv, fmt).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for argv, fmt in CASES:
+        code = main(argv + ["--format", fmt, "--output", str(golden_path(argv, fmt))])
+        if code != 0:
+            sys.exit(f"{' '.join(argv)} --format {fmt} exited {code}")

@@ -6,13 +6,11 @@ __version__ = "0.1.0"
 from .errors import (BudgetExceededError, FieldMismatchError,
                      PreconditionError, UnsupportedRingError)
 from .qfield import (QQ, FieldDesc, QuadElem, RingOfIntegers, bezout,
-                     bezout_bounded, embed, field_norm, field_trace,
-                     format_quadelem, is_algebraic_integer, m1_constant,
+                     bezout_bounded, format_quadelem, m1_constant,
                      m2_constant, parse_quadelem, ring_of_integers)
 from .psl2 import (Mat2, MatClass, ProjMat, an_iteration, an_step,
                    canonical_trace, classify, cusp_normalize, format_mat2,
-                   parabolic_shift_trace, parse_mat2, pm_inv, pm_mul,
-                   pm_trace)
+                   parabolic_shift_trace, parse_mat2)
 from .groups import (Ball, GroupSpec, TraceSet, catalog, catalog_names,
                      enumerate_ball, enumerate_largest_ball, gamma2_ball,
                      load_group_spec, trace_set)

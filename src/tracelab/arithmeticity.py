@@ -98,9 +98,6 @@ class ConjugateGrowth:
     maxima: tuple[float, ...]
     flag: str
 
-    def to_rows(self) -> list[tuple[int, float]]:
-        return list(zip(self.shells, self.maxima))
-
 
 def _sustained_growth(maxima: Sequence[float]) -> bool:
     run = 0
@@ -119,7 +116,7 @@ def _sustained_growth(maxima: Sequence[float]) -> bool:
 
 def conjugate_boundedness(traces: TraceSet, shells: Optional[Sequence[int]] = None
                           ) -> ConjugateGrowth:
-    """Running max of |embed(t, conjugate=True)| per word-length shell.
+    """Running max of |t.embed(conjugate=True)| per word-length shell.
 
     Not applicable for rational trace fields (no non-identity embedding) and
     for imaginary quadratic ones (identity and complex conjugation are both
@@ -202,7 +199,6 @@ def takeuchi_verdict(ball: Ball, shells: Optional[Sequence[int]] = None,
     witness: Optional[str] = None
     if elementary:
         verdict = VERDICT_INCONCLUSIVE
-        witness = None
     elif integ.certified_violation is not None:
         verdict = VERDICT_WITNESS
         witness = ("non-integral trace "
@@ -214,8 +210,7 @@ def takeuchi_verdict(ball: Ball, shells: Optional[Sequence[int]] = None,
         conj_max = growth.maxima[-1] if growth.maxima else float("nan")
         witness = (f"conjugate-embedding growth sustained over "
                    f">={GROWTH_SHELL_PERSISTENCE} shells, reaching {conj_max:.6g}")
-    elif integ.integral and growth.flag in (FLAG_BOUNDED, FLAG_NA_RATIONAL,
-                                            FLAG_NA_IMAGINARY):
+    elif integ.integral:
         verdict = VERDICT_CONSISTENT
     else:
         verdict = VERDICT_INCONCLUSIVE
@@ -234,39 +229,15 @@ def takeuchi_verdict(ball: Ball, shells: Optional[Sequence[int]] = None,
 
 # -- subtraction closure ----------------------------------------------------
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict[tuple[int, int], int] = {}
-    for (i, j), a in p.items():
-        for (k, l), b in q.items():
-            key = (i + k, j + l)
-            out[key] = out.get(key, 0) + a * b
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _poly_add(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for k, v in q.items():
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _poly_scale(p: dict, c: int) -> dict:
-    return {k: c * v for k, v in p.items() if c * v != 0}
-
-
 def check_square_trace_identities() -> bool:
     """(a+b)^2 - 2 + (a-b)^2 - 2 - 2(a^2-2) - 2(b^2-2) == 4 as a polynomial,
-    and 4^2 - 2 - 3*4 == 2."""
-    a = {(1, 0): 1}
-    b = {(0, 1): 1}
-    two = {(0, 0): 2}
-    apb = _poly_add(a, b)
-    amb = _poly_add(a, _poly_scale(b, -1))
-    expr = _poly_add(_poly_mul(apb, apb), _poly_scale(two, -1))
-    expr = _poly_add(expr, _poly_add(_poly_mul(amb, amb), _poly_scale(two, -1)))
-    expr = _poly_add(expr, _poly_scale(_poly_add(_poly_mul(a, a), _poly_scale(two, -1)), -2))
-    expr = _poly_add(expr, _poly_scale(_poly_add(_poly_mul(b, b), _poly_scale(two, -1)), -2))
-    return expr == {(0, 0): 4} and 4 ** 2 - 2 - 3 * 4 == 2
+    and 4^2 - 2 - 3*4 == 2.
+
+    The difference of the two sides of the first identity has degree <= 2 in
+    each of a and b, so it is the zero polynomial iff it vanishes on the grid
+    {0, 1, 2}^2, where it is evaluated exactly."""
+    return all((a + b) ** 2 - 2 + (a - b) ** 2 - 2 - 2 * (a * a - 2) - 2 * (b * b - 2) == 4
+               for a in range(3) for b in range(3)) and 4 ** 2 - 2 - 3 * 4 == 2
 
 
 @dataclass(frozen=True)

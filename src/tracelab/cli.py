@@ -15,8 +15,7 @@ from typing import Optional
 from . import __version__
 from .analytics import (cluster_counts, delta_c_cluster_witness, delta_c_set,
                         dn_set, gap, growth_profile, kronecker_gap_demo,
-                        rn_set, rn_two_to_one_check, totient_sum_check,
-                        totients)
+                        rn_set, rn_two_to_one_check, totient_sum_check)
 from .arithmeticity import subtraction_closure_check, takeuchi_verdict
 from .errors import BudgetExceededError, PreconditionError
 from .groups import (DEFAULT_CAP, GroupSpec, catalog, enumerate_ball,
@@ -33,7 +32,10 @@ def _dec(x: float) -> str:
 
 def _budget_default() -> int:
     raw = os.environ.get(BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_CAP
+    try:
+        return int(raw) if raw else DEFAULT_CAP
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV} must be an integer, not {raw!r}") from None
 
 
 def _resolve_group(args) -> GroupSpec:
@@ -113,11 +115,7 @@ def cmd_traces(args) -> Report:
     spec = _resolve_group(args)
     ball = enumerate_ball(spec, args.radius, args.cap)
     ts = trace_set(ball, reduced=not args.all)
-    rows = []
-    for t in ts.exact:
-        z = complex(t.embed())
-        rows.append([format_quadelem(t), _dec(z.real), _dec(z.imag),
-                     ts.provenance[t]])
+    rows = [row + [ts.provenance[t]] for t, row in zip(ts.exact, _embedded_rows(ts.exact))]
     payload = {
         "command": "traces",
         "group": spec.name,
@@ -248,12 +246,9 @@ def cmd_counting(args) -> Report:
         rows = [[k, l] for k, l in ds.tuples]
         return Report(payload, [["k", "l"]] + rows, rows)
     if args.kind == "rn":
-        rs = rn_set(n)
-        phi = totients(n)
-        formula = sum(phi[i] * sum(phi[j] for j in range(1, n // i + 1))
-                      for i in range(1, n + 1))
+        rs = rn_set(n)  # rn_set checks its size against the totient formula
         payload = {"command": "counting", "kind": "rn", "N": n, "size": rs.size,
-                   "totient_formula": formula, "ratio_n2": rs.size / (n * n)}
+                   "totient_formula": rs.size, "ratio_n2": rs.size / (n * n)}
         rows = [list(t) for t in rs.tuples]
         return Report(payload, [["r1", "r2", "r3", "r4"]] + rows, rows)
     if args.kind == "two-to-one":
@@ -380,10 +375,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "cap", None) is None and hasattr(args, "cap"):
-        args.cap = _budget_default()
     try:
-        report = args.func(args)
+        if hasattr(args, "cap") and args.cap is None:
+            args.cap = _budget_default()
+        _emit(args.func(args), args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -396,7 +391,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args)
     return 0
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError, PreconditionError
 from .psl2 import ProjMat, format_mat2, parse_mat2
-from .qfield import QQ, FieldDesc, QuadElem
+from .qfield import EUCLIDEAN_IMAGINARY_D, QQ, FieldDesc, QuadElem
 
 DEFAULT_CAP = 5_000_000
 
@@ -41,16 +41,16 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class Ball:
-    """Deduplicated word ball: every element carries its least word length."""
+    """Deduplicated word ball: every element carries its least word length.
+    The insertion order of word_length is the ball's element order."""
 
     radius: int
-    elements: tuple[ProjMat, ...]
     word_length: dict[ProjMat, int]
     complete: bool = True
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.word_length)
 
     def per_radius_counts(self) -> list[tuple[int, int]]:
         counts: dict[int, int] = {}
@@ -84,7 +84,6 @@ def enumerate_ball(spec: GroupSpec, radius: int, cap: int = DEFAULT_CAP) -> Ball
     ident = ProjMat.identity(spec.field)
     letters = _letters(spec)
     seen: dict[ProjMat, int] = {ident: 0}
-    order: list[ProjMat] = [ident]
     frontier: list[ProjMat] = [ident]
     for level in range(1, radius + 1):
         new_frontier: list[ProjMat] = []
@@ -93,18 +92,16 @@ def enumerate_ball(spec: GroupSpec, radius: int, cap: int = DEFAULT_CAP) -> Ball
                 h = g * let
                 if h not in seen:
                     seen[h] = level
-                    order.append(h)
                     new_frontier.append(h)
             if len(seen) > cap:
                 done = level - 1
-                kept = [e for e in order if seen[e] <= done]
-                partial = Ball(done, tuple(kept),
-                               {e: seen[e] for e in kept}, complete=False)
+                partial = Ball(done, {e: w for e, w in seen.items() if w <= done},
+                               complete=False)
                 raise BudgetExceededError(
                     f"element budget {cap} exceeded at radius {level}; "
                     f"completed radius {done}", partial=partial)
         frontier = new_frontier
-    return Ball(radius, tuple(order), seen)
+    return Ball(radius, seen)
 
 
 def enumerate_largest_ball(spec: GroupSpec, radius: int,
@@ -125,7 +122,6 @@ class TraceSet:
     embedded: tuple[complex, ...]
     provenance: dict[QuadElem, int]
     reduced: bool
-    field: FieldDesc
     radius: int
 
     @property
@@ -137,7 +133,7 @@ class TraceSet:
         kept = [t for t in self.exact if self.provenance[t] <= radius]
         return TraceSet(tuple(kept), tuple(t.embed() for t in kept),
                         {t: self.provenance[t] for t in kept},
-                        self.reduced, self.field, radius)
+                        self.reduced, radius)
 
 
 def _sorted_traces(prov: dict[QuadElem, int]) -> list[QuadElem]:
@@ -146,19 +142,15 @@ def _sorted_traces(prov: dict[QuadElem, int]) -> list[QuadElem]:
 
 def trace_set(ball: Ball, reduced: bool = True) -> TraceSet:
     prov: dict[QuadElem, int] = {}
-    field = QQ
-    for g in ball.elements:
+    for g, wl in ball.word_length.items():
         if reduced and g.is_identity():
             continue
         t = g.trace()
-        if not t.field.is_rational:
-            field = t.field
-        wl = ball.word_length[g]
         if t not in prov or wl < prov[t]:
             prov[t] = wl
     exact = _sorted_traces(prov)
     return TraceSet(tuple(exact), tuple(t.embed() for t in exact),
-                    {t: prov[t] for t in exact}, reduced, field, ball.radius)
+                    {t: prov[t] for t in exact}, reduced, ball.radius)
 
 
 def gamma2_ball(ball: Ball, pair_budget: int = 90_000) -> Ball:
@@ -172,25 +164,18 @@ def gamma2_ball(ball: Ball, pair_budget: int = 90_000) -> Ball:
             prov[g] = wl
 
     squares: list[tuple[ProjMat, int]] = []
-    for g in ball.elements:
+    for g, wl in ball.word_length.items():
         sq = g * g
-        wl = 2 * ball.word_length[g]
-        visit(sq, wl)
-        squares.append((sq, wl))
-    sub_radius = ball.radius
-    while sub_radius > 0:
-        n_sub = sum(1 for g in ball.elements if ball.word_length[g] <= sub_radius)
-        if n_sub * n_sub <= pair_budget:
-            break
-        sub_radius -= 1
-    sub = [(sq, wl) for (sq, wl) in squares
-           if wl <= 2 * sub_radius]
+        visit(sq, 2 * wl)
+        squares.append((sq, 2 * wl))
+    sub_radius = max((r for r, n in ball.per_radius_counts()
+                      if n * n <= pair_budget), default=0)
+    sub = [(sq, wl) for (sq, wl) in squares if wl <= 2 * sub_radius]
     for s1, w1 in sub:
         for s2, w2 in sub:
             visit(s1 * s2, w1 + w2)
     # deterministic order: by provenance, ties by insertion
-    order = sorted(prov, key=lambda g: prov[g])
-    return Ball(2 * ball.radius, tuple(order), dict(prov))
+    return Ball(2 * ball.radius, dict(sorted(prov.items(), key=lambda kv: kv[1])))
 
 
 # -- catalog ----------------------------------------------------------------
@@ -213,14 +198,12 @@ _HECKE_LAMBDA = {
     6: (3, QuadElem.of(0, 1, FieldDesc(3))),                      # sqrt(3)
 }
 
-BIANCHI_DS = (-1, -2, -3, -7, -11)
-
 
 def catalog_names() -> list[str]:
     names = ["psl2z"]
     names += [f"gamma0({n})" for n in sorted(_GAMMA0_TABLES)]
     names += [f"hecke({q})" for q in sorted(_HECKE_LAMBDA)]
-    names += [f"bianchi({d})" for d in BIANCHI_DS]
+    names += [f"bianchi({d})" for d in EUCLIDEAN_IMAGINARY_D]
     return names
 
 
@@ -244,7 +227,7 @@ def catalog(name: str) -> GroupSpec:
             return GroupSpec(f"hecke({q})", gens, fld, cls)
     if key.startswith("bianchi(") and key.endswith(")"):
         d = int(key[8:-1])
-        if d in BIANCHI_DS:
+        if d in EUCLIDEAN_IMAGINARY_D:
             fld = FieldDesc(d)
             omega = (QuadElem.of(Fraction(1, 2), Fraction(1, 2), fld)
                      if d % 4 == 1 else QuadElem.of(0, 1, fld))

@@ -73,8 +73,6 @@ class Mat2:
         """The adjugate (d, -b; -c, a); equals the inverse at det 1."""
         return Mat2(self.d, -self.b, -self.c, self.a)
 
-    inv = adj
-
     def trace(self) -> QuadElem:
         return self.a + self.d
 
@@ -154,18 +152,6 @@ class ProjMat:
 
     def is_identity(self) -> bool:
         return self.rep.is_identity_up_to_sign()
-
-
-def pm_mul(x: ProjMat, y: ProjMat) -> ProjMat:
-    return x * y
-
-
-def pm_inv(x: ProjMat) -> ProjMat:
-    return x.inv()
-
-
-def pm_trace(x: ProjMat) -> QuadElem:
-    return x.trace()
 
 
 class MatClass(enum.Enum):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -178,9 +179,6 @@ class QuadElem:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_rational_value(self) -> bool:
-        return self.b == 0
-
     def conjugate(self) -> QuadElem:
         """Galois conjugate a - b*sqrt(d)."""
         return QuadElem(self.a, -self.b, self.field)
@@ -244,32 +242,32 @@ class QuadElem:
         return f"QuadElem({format_quadelem(self)!r}, field={self.field!r})"
 
 
-def embed(x: QuadElem, conjugate: bool = False):
-    return x.embed(conjugate)
-
-
-def field_norm(x: QuadElem) -> Fraction:
-    return x.norm()
-
-
-def field_trace(x: QuadElem) -> Fraction:
-    return x.trace()
-
-
-def is_algebraic_integer(x: QuadElem) -> bool:
-    return x.is_algebraic_integer()
-
-
 # -- text format ----------------------------------------------------------
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
 _TERM_RE = re.compile(
     rf"^(?P<sign>[+-]?)(?:(?P<coef>\d+(?:/\d+)?)\*?)?(?:(?P<root>sqrt\((?P<d>-?\d+)\)))?$"
 )
 
 
+def _int_text(n: int) -> str:
+    """Decimal digits of n, past the interpreter's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def _format_rat(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    num = _int_text(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_int_text(q.denominator)}"
+
+
+def _parse_rat(text: str) -> Fraction:
+    """Exact p or p/q, with no limit on the number of digits."""
+    parts = [int(Decimal(part)) for part in text.split("/")]
+    if parts[1:] == [0]:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(*parts)
 
 
 def format_quadelem(x: QuadElem) -> str:
@@ -315,7 +313,7 @@ def parse_quadelem(text: str, field: Optional[FieldDesc] = None) -> QuadElem:
         if not m or (m.group("coef") is None and m.group("root") is None):
             raise ValueError(f"cannot parse field element term: {term!r}")
         sign = -1 if m.group("sign") == "-" else 1
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        coef = _parse_rat(m.group("coef")) if m.group("coef") else Fraction(1)
         if m.group("root"):
             d_term = int(m.group("d"))
             if d_seen is not None and d_seen != d_term:
@@ -529,10 +527,6 @@ def bezout(r: QuadElem, s: QuadElem, ring: RingOfIntegers
     u, v = u0 * inv, v0 * inv
     assert (u * r + v * s - 1).is_zero()
     return u, v
-
-
-def is_coprime(r: QuadElem, s: QuadElem, ring: RingOfIntegers) -> bool:
-    return bezout(r, s, ring) is not None
 
 
 def divides(x: QuadElem, y: QuadElem, ring: RingOfIntegers) -> bool:

@@ -24,10 +24,10 @@ def q(a, b=0, field=QQ):
     return QuadElem.of(a, b, field)
 
 
-def make_trace_set(values, field=QQ, word_length=1) -> TraceSet:
+def make_trace_set(values, word_length=1) -> TraceSet:
     exact = tuple(values)
     return TraceSet(exact, tuple(v.embed() for v in exact),
-                    {v: word_length for v in exact}, True, field, word_length)
+                    {v: word_length for v in exact}, True, word_length)
 
 
 @pytest.fixture(scope="module")
@@ -74,20 +74,20 @@ class TestIntegrality:
 
     def test_golden_ratio_integral(self):
         res = integrality_check(make_trace_set(
-            [q(Fraction(1, 2), Fraction(1, 2), F5)], field=F5))
+            [q(Fraction(1, 2), Fraction(1, 2), F5)]))
         assert res.integral
 
     def test_half_integer_lattice_violation(self):
         # sqrt(-3)/2 is non-integral although its coordinates have denominator 2
         f3 = FieldDesc(-3)
-        res = integrality_check(make_trace_set([q(0, Fraction(1, 2), f3)], field=f3))
+        res = integrality_check(make_trace_set([q(0, Fraction(1, 2), f3)]))
         assert not res.integral
         assert res.violations[0].certified
 
 
 class TestConjugateBoundedness:
     def test_constant_traces_bounded(self):
-        ts = make_trace_set([q(1, 1, F5)], field=F5)
+        ts = make_trace_set([q(1, 1, F5)])
         growth = conjugate_boundedness(ts)
         assert growth.flag == FLAG_BOUNDED
 
@@ -115,7 +115,7 @@ class TestGamma2Traces:
     def test_square_trace_identity_on_ball(self, psl2z_ball_8):
         from tracelab.psl2 import canonical_trace
         count = 0
-        for g in psl2z_ball_8.elements:
+        for g in psl2z_ball_8.word_length:
             t = g.rep.trace()
             sq = g * g
             assert sq.trace() == canonical_trace(t * t - 2)
@@ -210,7 +210,7 @@ class TestSubtractionClosure:
 
     def test_quadratic_field_window(self):
         lam = q(Fraction(1, 2), Fraction(1, 2), F5)
-        ts = make_trace_set([lam, lam + 1, q(1, 0, F5)], field=F5)
+        ts = make_trace_set([lam, lam + 1, q(1, 0, F5)])
         rep = subtraction_closure_check(ts, 5)
         # lam+1 - lam = 1 present, lam - 1 = (-1+sqrt5)/2 missing
         assert not rep.closed

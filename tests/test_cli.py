@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from tracelab import parse_quadelem
+from tracelab import QuadElem, parse_quadelem
 from tracelab.cli import main
 
 
@@ -140,6 +141,27 @@ class TestExitCodes:
         assert code == 4
         assert "algebraic integer" in err
 
+    def test_bad_budget_env_is_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("TRACELAB_BUDGET", "abc")
+        code, out, err = run_cli(["enumerate", "--group", "psl2z", "--radius", "3"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "TRACELAB_BUDGET" in err
+
+    def test_zero_denominator_is_2(self, capsys):
+        code, out, err = run_cli(["delta-c", "--c", "1/0", "--ring", "Z"], capsys)
+        assert code == 2 and out == ""
+        assert "zero denominator" in err
+
+    def test_output_into_missing_directory_is_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(["enumerate", "--group", "psl2z", "--radius", "3",
+                                  "--output", str(target)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not target.exists()
+
     def test_error_messages_name_precondition(self, capsys):
         code, _, err = run_cli(["gap", "--group", "psl2z", "--radius", "0"],
                                capsys)
@@ -185,3 +207,22 @@ class TestLargeWitnessOutput:
         payload = json.loads(out)
         assert len(payload["points"]) == 5
         assert payload["max_deviation"] <= 0.5
+
+
+class TestValuesBeyondLimits:
+    def test_values_beyond_int_str_digit_limit_round_trip(self, capsys):
+        # 5001-digit terms: past the interpreter's 4300-digit limit on
+        # int <-> str conversion, in the flag and in the CSV it prints
+        c = QuadElem.of(Fraction(10 ** 5000 + 1, 10 ** 5000))
+        code, out, err = run_cli(["delta-c", "--c", "1" + "0" * 4999 + "1/1" + "0" * 5000,
+                                  "--ring", "Z", "--k-bound", "1", "--n-bound", "1",
+                                  "--format", "csv"], capsys)
+        assert code == 0, err
+        values = {parse_quadelem(line.split(",")[0]) for line in out.splitlines()[1:]}
+        assert values == {k * c for k in (-1, 0, 1)} | {k * c * c for k in (-1, 1)}
+
+    def test_cluster_beyond_float_range_is_4(self, capsys):
+        code, out, err = run_cli(["delta-c", "--c", "1" + "0" * 5000 + "/7", "--ring", "Z",
+                                  "--k-bound", "1", "--n-bound", "1"], capsys)
+        assert code == 4 and out == ""
+        assert "finite points" in err

@@ -40,7 +40,7 @@ class TestEnumerateBall:
         spec = catalog("psl2z")
         oracle = brute_force_ball(spec.generators, 2)
         ball = enumerate_ball(spec, 2)
-        assert set(ball.elements) == oracle
+        assert set(ball.word_length) == oracle
         assert ball.size == len(oracle) == 10
 
     def test_radius1_generator_bound(self):
@@ -63,19 +63,19 @@ class TestEnumerateBall:
         spec = catalog("psl2z")
         b4 = enumerate_ball(spec, 4)
         b5 = enumerate_ball(spec, 5)
-        assert set(b4.elements) <= set(b5.elements)
+        assert set(b4.word_length) <= set(b5.word_length)
         assert all(wl <= 4 for wl in b4.word_length.values())
-        for g in b4.elements:
+        for g in b4.word_length:
             assert b5.word_length[g] == b4.word_length[g]
 
     def test_inverse_closure_same_length(self):
         ball = enumerate_ball(catalog("hecke(5)"), 4)
-        for g in ball.elements:
+        for g in ball.word_length:
             assert ball.word_length[g.inv()] == ball.word_length[g]
 
     def test_all_elements_det1_and_field(self):
         ball = enumerate_ball(catalog("bianchi(-3)"), 3)
-        for g in ball.elements:
+        for g in ball.word_length:
             det = g.rep.det()
             assert det.a == 1 and det.b == 0
 
@@ -89,7 +89,7 @@ class TestEnumerateBall:
         assert not partial.complete
         assert partial.radius >= 1
         reference = enumerate_ball(spec, partial.radius)
-        assert set(partial.elements) == set(reference.elements)
+        assert set(partial.word_length) == set(reference.word_length)
         assert enumerate_largest_ball(spec, 6, cap=cap).radius == partial.radius
 
     def test_radius_zero_rejected(self):
@@ -126,7 +126,7 @@ class TestTraceSet:
         ball = enumerate_ball(catalog("psl2z"), 4)
         ts = trace_set(ball)
         for t in ts.exact:
-            realized = min(ball.word_length[g] for g in ball.elements
+            realized = min(ball.word_length[g] for g in ball.word_length
                            if not g.is_identity() and g.trace() == t)
             assert ts.provenance[t] == realized
 
@@ -147,14 +147,14 @@ class TestGamma2Ball:
     def test_squares_present_with_provenance(self):
         ball = enumerate_ball(catalog("psl2z"), 4)
         g2 = gamma2_ball(ball)
-        for g in ball.elements:
+        for g in ball.word_length:
             sq = g * g
             assert sq in g2.word_length
             assert g2.word_length[sq] <= 2 * ball.word_length[g]
 
     def test_square_trace_identity(self):
         ball = enumerate_ball(catalog("hecke(5)"), 5)
-        for g in ball.elements:
+        for g in ball.word_length:
             t = g.rep.trace()
             assert (g * g).rep.trace() in (t * t - 2, -(t * t - 2))
 

@@ -1,0 +1,82 @@
+"""Property tests: text round-trips (including integers past the
+interpreter's 4300-digit int <-> str limit), determinant and sign
+invariants of products, and invariance of the trace set under the choice
+of generators."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from tracelab import (QQ, FieldDesc, GroupSpec, Mat2, ProjMat, QuadElem,
+                      enumerate_ball, format_mat2, format_quadelem, parse_mat2,
+                      parse_quadelem, trace_set)
+
+FIELDS = (QQ, FieldDesc(-1), FieldDesc(-3), FieldDesc(2), FieldDesc(5))
+CHEAP = settings(max_examples=30, deadline=None, database=None)
+
+small_ints = st.integers(-50, 50)
+huge_ints = st.builds(lambda k, e: k * 10 ** e + 1, st.integers(-9, 9),
+                      st.integers(4300, 4400))
+small_rationals = st.builds(Fraction, small_ints, st.integers(1, 50))
+rationals = st.builds(Fraction, small_ints | huge_ints,
+                      st.integers(1, 50) | huge_ints.map(abs))
+
+
+@st.composite
+def elems(draw, field, coef=rationals):
+    b = 0 if field.is_rational else draw(coef)
+    return QuadElem.of(draw(coef), b, field)
+
+
+@st.composite
+def det1_mats(draw, field, coef=small_rationals, shears=4):
+    """Products of elementary upper and lower shears."""
+    one, zero = QuadElem.rational(1, field), QuadElem.rational(0, field)
+    m = Mat2.identity(field)
+    for i in range(draw(st.integers(1, shears))):
+        x = draw(elems(field, coef))
+        m = m * (Mat2(one, x, zero, one) if i % 2 == 0 else Mat2(one, zero, x, one))
+    return m
+
+
+fields = st.sampled_from(FIELDS)
+
+
+@CHEAP
+@given(fields.flatmap(elems))
+def test_quadelem_text_round_trip(x):
+    assert parse_quadelem(format_quadelem(x), x.field) == x
+
+
+@CHEAP
+@given(fields.flatmap(lambda f: det1_mats(f, rationals, shears=2)))
+def test_mat2_text_round_trip(m):
+    assert parse_mat2(format_mat2(m), m.field) == m
+
+
+@CHEAP
+@given(fields.flatmap(lambda f: st.tuples(det1_mats(f), det1_mats(f))))
+def test_products_keep_determinant_one(pair):
+    det = (pair[0] * pair[1]).det()
+    assert det.a == 1 and det.b == 0
+
+
+@CHEAP
+@given(fields.flatmap(det1_mats))
+def test_canonical_projmat_ignores_sign(m):
+    assert ProjMat.of(m) == ProjMat.of(-m)
+    assert hash(ProjMat.of(m)) == hash(ProjMat.of(-m))
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(fields.flatmap(lambda f: st.lists(
+           det1_mats(f, st.integers(-3, 3).map(Fraction)), min_size=1, max_size=3)),
+       st.randoms(use_true_random=False))
+def test_trace_set_ignores_generator_order_and_inversion(mats, rnd):
+    field = mats[0].field
+    gens = [ProjMat.of(m) for m in mats]
+    other = [g.inv() if rnd.random() < 0.5 else g for g in gens]
+    rnd.shuffle(other)
+    a = trace_set(enumerate_ball(GroupSpec("a", tuple(gens), field), 3))
+    b = trace_set(enumerate_ball(GroupSpec("b", tuple(other), field), 3))
+    assert a.exact == b.exact and a.provenance == b.provenance

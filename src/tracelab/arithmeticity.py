@@ -255,7 +255,10 @@ def subtraction_closure_check(traces: TraceSet, window) -> ClosureReport:
     """For distinct trace pairs with |a - b| <= window, the sign-folded
     difference must be in the set; also reports membership of 2 and 4 and
     asserts the two square-trace polynomial identities."""
-    win = Fraction(window)
+    try:
+        win = Fraction(window)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in window {window!r}") from None
     identities_ok = check_square_trace_identities()
     tset = set(traces.exact)
     violations = []

@@ -141,13 +141,16 @@ def _sorted_traces(prov: dict[QuadElem, int]) -> list[QuadElem]:
 
 
 def trace_set(ball: Ball, reduced: bool = True) -> TraceSet:
-    prov: dict[QuadElem, int] = {}
+    # least word length per distinct trace, keyed by its exact integer form;
+    # only one element per distinct trace is converted to a QuadElem
+    least: dict[tuple, tuple[int, ProjMat]] = {}
     for g, wl in ball.word_length.items():
         if reduced and g.is_identity():
             continue
-        t = g.trace()
-        if t not in prov or wl < prov[t]:
-            prov[t] = wl
+        key = g.trace_key()
+        if key not in least or wl < least[key][0]:
+            least[key] = (wl, g)
+    prov = {g.trace(): wl for wl, g in least.values()}
     exact = _sorted_traces(prov)
     return TraceSet(tuple(exact), tuple(t.embed() for t in exact),
                     {t: prov[t] for t in exact}, reduced, ball.radius)
@@ -250,9 +253,16 @@ def group_spec_to_dict(spec: GroupSpec) -> dict:
 
 
 def group_spec_from_dict(data: dict) -> GroupSpec:
+    if not isinstance(data, dict):
+        raise ValueError("a group spec must be a JSON object")
     d = data.get("field_d")
-    fld = QQ if d is None else FieldDesc(int(d))
-    gens = tuple(ProjMat.of(parse_mat2(text, fld)) for text in data["generators"])
+    if d is not None and type(d) is not int:
+        raise ValueError(f"field_d must be an integer or null, not {d!r}")
+    texts = data["generators"]
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise ValueError("generators must be a list of matrix literals")
+    fld = QQ if d is None else FieldDesc(d)
+    gens = tuple(ProjMat.of(parse_mat2(text, fld)) for text in texts)
     return GroupSpec(str(data["name"]), gens, fld,
                      str(data.get("expected_class", UNKNOWN)))
 

@@ -1,10 +1,14 @@
-"""Exact determinant-1 2x2 matrices over quadratic fields, with projective
-sign normalization, trace classification, cusp normalization, and the
+"""Exact determinant-1 2x2 matrices over Q and quadratic fields: Mat2, with
+field-element entries, for parsing, formatting and cusp normalization; and
+ProjMat, the element of PSL(2) on integer coordinates that products,
+hashing and trace extraction run on. Also trace classification and the
 squaring-iteration / parabolic-shift trace gadgets."""
 
 from __future__ import annotations
 
 import enum
+import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,10 +83,6 @@ class Mat2:
     def det(self) -> QuadElem:
         return self.a * self.d - self.b * self.c
 
-    def is_identity_up_to_sign(self) -> bool:
-        return (self.b.is_zero() and self.c.is_zero()
-                and self.a == self.d and (self.a * self.a - 1).is_zero())
-
     def __pow__(self, n: int) -> Mat2:
         if n < 0:
             return self.adj() ** (-n)
@@ -96,19 +96,6 @@ class Mat2:
         return result
 
 
-def _sign_canonical(m: Mat2) -> Mat2:
-    """First nonzero entry in (a, b, c, d) gets positive embedded real part,
-    ties broken by positive imaginary part."""
-    for e in m.entries():
-        if e.is_zero():
-            continue
-        s = e.real_sign()
-        if s == 0:
-            s = e.imag_sign()
-        return m if s > 0 else -m
-    raise AssertionError("zero matrix cannot have determinant 1")
-
-
 def canonical_trace(t: QuadElem) -> QuadElem:
     """Fold the sign: nonnegative embedded real part, tie broken to
     nonnegative imaginary part."""
@@ -118,15 +105,103 @@ def canonical_trace(t: QuadElem) -> QuadElem:
     return -t if s < 0 else t
 
 
-@dataclass(frozen=True, slots=True)
-class ProjMat:
-    """Element of PSL(2): a Mat2 held in sign-canonical form."""
+# -- PSL(2) on integer coordinates -----------------------------------------
 
-    rep: Mat2
+class _Basis:
+    """The basis (1, omega) of the ring of integers of a field, with
+    omega^2 = t*omega - n: omega = (1+sqrt(d))/2 when d = 1 (mod 4), else
+    sqrt(d). Over Q every omega-coordinate is 0 (t = n = d = 0).
+
+    Twice the value x0 + x1*omega is (2*x0 + t*x1) + (2 - t)*x1*sqrt(d)."""
+
+    __slots__ = ("field", "d", "t", "n", "rs")
+
+    def __init__(self, field: FieldDesc):
+        self.field = field
+        self.d = field.d or 0
+        self.t = 1 if self.d % 4 == 1 else 0
+        self.n = (1 - self.d) // 4 if self.t else -self.d
+        # (2 * rational part)^2 against this times x1^2 decides real signs
+        self.rs = self.d * (2 - self.t) ** 2
+
+    def sign(self, x0: int, x1: int) -> int:
+        """Sign of the embedded real part of x0 + x1*omega, tie broken by
+        the imaginary part (as QuadElem.real_sign, then imag_sign)."""
+        if not x1:
+            return (x0 > 0) - (x0 < 0)
+        re2 = 2 * x0 + self.t * x1
+        if self.d < 0:
+            return (re2 > 0) - (re2 < 0) or (1 if x1 > 0 else -1)
+        # real field: when the two parts differ in sign, the larger square
+        # wins; the squares never tie because sqrt(d) is irrational
+        if re2 and (re2 > 0) != (x1 > 0) and re2 * re2 > self.rs * x1 * x1:
+            return 1 if re2 > 0 else -1
+        return 1 if x1 > 0 else -1
+
+    def coords(self, e: QuadElem) -> tuple[Fraction, Fraction]:
+        """Rational (x0, x1) with e = x0 + x1*omega."""
+        if self.t:
+            return e.a - e.b, 2 * e.b
+        return e.a, e.b
+
+    def elem(self, x0: int, x1: int, den: int) -> QuadElem:
+        """The field element (x0 + x1*omega)/den."""
+        if self.t:
+            return QuadElem(Fraction(2 * x0 + x1, 2 * den), Fraction(x1, 2 * den),
+                            self.field)
+        return QuadElem(Fraction(x0, den), Fraction(x1, den), self.field)
+
+
+_BASES: dict[Optional[int], _Basis] = {}
+
+
+def _basis(field: FieldDesc) -> _Basis:
+    basis = _BASES.get(field.d)
+    if basis is None:
+        basis = _BASES[field.d] = _Basis(field)
+    return basis
+
+
+_IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
+
+
+class ProjMat:
+    """Element of PSL(2) over Q or a quadratic field.
+
+    The entries a, b, c, d are (x0 + x1*omega)/den for the integer
+    coordinates x = (a0, a1, b0, b1, c0, c1, d0, d1) in the basis
+    (1, omega) of the ring of integers and one denominator den > 0. The
+    tuple is in lowest terms (gcd(den, *x) == 1) and sign-canonical: the
+    first nonzero entry has positive embedded real part, ties broken by
+    positive imaginary part. So products, inverses, equality and hashing
+    are exact integer operations. Build elements with of, make or
+    identity; the determinant is checked there, when the Mat2 is made.
+    """
+
+    __slots__ = ("_basis", "den", "x", "_hash")
+
+    def __init__(self, basis: _Basis, den: int, x: tuple[int, ...]):
+        if den != 1:
+            g = math.gcd(den, *x)
+            if g != 1:
+                den //= g
+                x = tuple(v // g for v in x)
+        for i in (0, 2, 4, 6):
+            if x[i] or x[i + 1]:
+                if basis.sign(x[i], x[i + 1]) < 0:
+                    x = tuple(map(operator.neg, x))
+                break
+        self._basis = basis
+        self.den = den
+        self.x = x
+        self._hash = hash((den, x))
 
     @staticmethod
     def of(m: Mat2) -> ProjMat:
-        return ProjMat(_sign_canonical(m))
+        basis = _basis(m.field)
+        coords = [v for e in m.entries() for v in basis.coords(e)]
+        den = math.lcm(*(v.denominator for v in coords))
+        return ProjMat(basis, den, tuple((v * den).numerator for v in coords))
 
     @staticmethod
     def make(a: Scalar, b: Scalar, c: Scalar, d: Scalar,
@@ -135,23 +210,67 @@ class ProjMat:
 
     @staticmethod
     def identity(field: FieldDesc = QQ) -> ProjMat:
-        return ProjMat.of(Mat2.identity(field))
+        return ProjMat(_basis(field), 1, _IDENTITY)
 
     @property
     def field(self) -> FieldDesc:
-        return self.rep.field
+        return self._basis.field
+
+    @property
+    def rep(self) -> Mat2:
+        """The sign-canonical matrix, as a Mat2 of field elements."""
+        elem, x, den = self._basis.elem, self.x, self.den
+        return Mat2(*(elem(x[i], x[i + 1], den) for i in (0, 2, 4, 6)))
 
     def __mul__(self, other: ProjMat) -> ProjMat:
-        return ProjMat.of(self.rep * other.rep)
+        basis = self._basis
+        if other._basis is not basis:
+            basis = _basis(_common_field(basis.field, other._basis.field))
+        a0, a1, b0, b1, c0, c1, d0, d1 = self.x
+        e0, e1, f0, f1, g0, g1, h0, h1 = other.x
+        # (p0 + p1 w)(q0 + q1 w) = p0 q0 - n p1 q1 + (p0 q1 + p1 q0 + t p1 q1) w
+        n, t = basis.n, basis.t
+        ae, af = a1 * e1 + b1 * g1, a1 * f1 + b1 * h1
+        ce, cf = c1 * e1 + d1 * g1, c1 * f1 + d1 * h1
+        x = (a0 * e0 + b0 * g0 - n * ae, a0 * e1 + a1 * e0 + b0 * g1 + b1 * g0 + t * ae,
+             a0 * f0 + b0 * h0 - n * af, a0 * f1 + a1 * f0 + b0 * h1 + b1 * h0 + t * af,
+             c0 * e0 + d0 * g0 - n * ce, c0 * e1 + c1 * e0 + d0 * g1 + d1 * g0 + t * ce,
+             c0 * f0 + d0 * h0 - n * cf, c0 * f1 + c1 * f0 + d0 * h1 + d1 * h0 + t * cf)
+        return ProjMat(basis, self.den * other.den, x)
 
     def inv(self) -> ProjMat:
-        return ProjMat.of(self.rep.adj())
+        a0, a1, b0, b1, c0, c1, d0, d1 = self.x
+        return ProjMat(self._basis, self.den, (d0, d1, -b0, -b1, -c0, -c1, a0, a1))
 
     def trace(self) -> QuadElem:
-        return canonical_trace(self.rep.trace())
+        """The trace a + d, sign-folded as canonical_trace folds it."""
+        t0, t1, den, basis = self.trace_key()
+        return basis.elem(t0, t1, den)
+
+    def trace_key(self) -> tuple:
+        """trace() as exact integers: equal keys iff equal traces."""
+        x, den = self.x, self.den
+        t0, t1 = x[0] + x[6], x[1] + x[7]
+        if den != 1:
+            g = math.gcd(den, t0, t1)
+            den, t0, t1 = den // g, t0 // g, t1 // g
+        if self._basis.sign(t0, t1) < 0:
+            t0, t1 = -t0, -t1
+        return (t0, t1, den, self._basis)
 
     def is_identity(self) -> bool:
-        return self.rep.is_identity_up_to_sign()
+        return self.den == 1 and self.x == _IDENTITY
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProjMat):
+            return NotImplemented
+        return self.x == other.x and self.den == other.den and self._basis is other._basis
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self):
+        return f"ProjMat({format_mat2(self.rep)!r}, field={self.field!r})"
 
 
 class MatClass(enum.Enum):
@@ -164,7 +283,7 @@ class MatClass(enum.Enum):
 def classify(x: ProjMat) -> MatClass:
     if x.is_identity():
         return MatClass.IDENTITY
-    t = x.rep.trace()
+    t = x.trace()
     t2m4 = t * t - 4
     if t2m4.is_zero():
         return MatClass.PARABOLIC
@@ -258,8 +377,10 @@ def an_iteration(m: Mat2, n: int) -> Mat2:
         result = an_step(result)
     if n >= 1:
         expect = c ** (2 ** n)
-        assert (result.c - expect).is_zero()
-        assert (result.trace() - (expect + 2)).is_zero()
+        if not (result.c - expect).is_zero():
+            raise AssertionError("lower-left entry is not c^(2^n)")
+        if not (result.trace() - (expect + 2)).is_zero():
+            raise AssertionError("trace is not 2 + c^(2^n)")
     return result
 
 
@@ -274,7 +395,8 @@ def parabolic_shift_trace(a_n: Mat2, k: Scalar) -> QuadElem:
                  QuadElem.rational(0, field), QuadElem.rational(1, field))
     expected = (kk + 1) * c + 2
     actual = (a_n * shift).trace()
-    assert (actual - expected).is_zero()
+    if not (actual - expected).is_zero():
+        raise AssertionError("shifted trace is not 2 + (k+1) c")
     return expected
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tracelab import FieldDesc, Mat2, QQ, QuadElem
+from tracelab import FieldDesc, Mat2, QQ, QuadElem, canonical_trace
 
 
 def rand_fraction(rng: random.Random, num_max: int = 12, den_max: int = 12) -> Fraction:
@@ -34,3 +34,32 @@ def rand_mat(rng: random.Random, field: FieldDesc = QQ, factors: int = 4) -> Mat
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260810)
+
+
+# -- the Mat2 path: the reference arithmetic for ProjMat ------------------
+
+def mat2_canonical(m: Mat2) -> Mat2:
+    """Sign-canonical lift: the first nonzero entry gets positive embedded
+    real part, ties broken by positive imaginary part."""
+    for e in m.entries():
+        if not e.is_zero():
+            s = e.real_sign() or e.imag_sign()
+            return m if s > 0 else -m
+    raise AssertionError("zero matrix")
+
+
+def mat2_is_identity(m: Mat2) -> bool:
+    """m = +-1, i.e. the identity of PSL(2)."""
+    return (m.b.is_zero() and m.c.is_zero() and m.a == m.d
+            and (m.a * m.a - 1).is_zero())
+
+
+def mat2_least_traces(items) -> dict:
+    """Sign-folded trace -> least word length over (Mat2, word length)
+    pairs, identity excluded: the reduced trace set's provenance."""
+    least = {}
+    for m, wl in items:
+        if not mat2_is_identity(m):
+            t = canonical_trace(m.trace())
+            least[t] = min(wl, least.get(t, wl))
+    return least

@@ -162,6 +162,33 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not target.exists()
 
+    @pytest.mark.parametrize("spec", [
+        [1, 2],
+        {"name": "x", "generators": 5},
+        {"generators": [["1"]]},
+        {"name": "x", "field_d": [1], "generators": ["[1,1;0,1]"]},
+    ], ids=["not-object", "generators-not-list", "generator-not-string",
+            "field-d-not-integer"])
+    def test_malformed_spec_file_is_2(self, capsys, tmp_path, spec):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(["enumerate", "--spec-file", str(path),
+                                  "--radius", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_zero_denominator_window_is_2(self, capsys):
+        code, out, err = run_cli(["corollary", "--group", "psl2z", "--radius", "2",
+                                  "--window", "1/0"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "zero denominator" in err
+
+    def test_decimal_window_is_exact(self, capsys):
+        code, out, _ = run_cli(["corollary", "--group", "psl2z", "--radius", "2",
+                                "--window", "2.5"], capsys)
+        assert code == 0 and json.loads(out)["window"] == "5/2"
+
     def test_error_messages_name_precondition(self, capsys):
         code, _, err = run_cli(["gap", "--group", "psl2z", "--radius", "0"],
                                capsys)

@@ -1,15 +1,19 @@
 """Property tests: text round-trips (including integers past the
 interpreter's 4300-digit int <-> str limit), determinant and sign
-invariants of products, and invariance of the trace set under the choice
-of generators."""
+invariants of products, agreement of the integer-coordinate ProjMat with
+the Mat2 path, and invariance of the trace set under the choice of
+generators."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from tracelab import (QQ, FieldDesc, GroupSpec, Mat2, ProjMat, QuadElem,
-                      enumerate_ball, format_mat2, format_quadelem, parse_mat2,
-                      parse_quadelem, trace_set)
+                      canonical_trace, enumerate_ball, format_mat2,
+                      format_quadelem, parse_mat2, parse_quadelem, trace_set)
+from tracelab.groups import group_spec_from_dict
+
+from conftest import mat2_canonical, mat2_is_identity, mat2_least_traces
 
 FIELDS = (QQ, FieldDesc(-1), FieldDesc(-3), FieldDesc(2), FieldDesc(5))
 CHEAP = settings(max_examples=30, deadline=None, database=None)
@@ -18,6 +22,7 @@ small_ints = st.integers(-50, 50)
 huge_ints = st.builds(lambda k, e: k * 10 ** e + 1, st.integers(-9, 9),
                       st.integers(4300, 4400))
 small_rationals = st.builds(Fraction, small_ints, st.integers(1, 50))
+fractional = st.builds(Fraction, small_ints, st.integers(2, 6))
 rationals = st.builds(Fraction, small_ints | huge_ints,
                       st.integers(1, 50) | huge_ints.map(abs))
 
@@ -66,6 +71,37 @@ def test_products_keep_determinant_one(pair):
 def test_canonical_projmat_ignores_sign(m):
     assert ProjMat.of(m) == ProjMat.of(-m)
     assert hash(ProjMat.of(m)) == hash(ProjMat.of(-m))
+
+
+@st.composite
+def spec_file_groups(draw):
+    """Generator matrices with entries of denominator > 1, and the group
+    read from a spec-file document listing them."""
+    field = draw(fields)
+    mats = draw(st.lists(det1_mats(field, fractional), min_size=2, max_size=3))
+    return mats, group_spec_from_dict({"name": "drawn", "field_d": field.d,
+                                       "generators": [format_mat2(m) for m in mats]})
+
+
+@CHEAP
+@given(spec_file_groups(), st.data())
+def test_projmat_agrees_with_mat2_path(drawn, data):
+    mats, spec = drawn
+    assert [g.rep for g in spec.generators] == [mat2_canonical(m) for m in mats]
+    gens = list(spec.generators) + [g.inv() for g in spec.generators]
+    x = data.draw(st.sampled_from(gens))
+    y = data.draw(st.sampled_from(gens + [x.inv()]))
+    for z in (x, y, x * y):
+        assert ProjMat.of(z.rep) == z and hash(ProjMat.of(z.rep)) == hash(z)
+        assert mat2_canonical(z.rep) == z.rep
+        assert z.inv().rep == mat2_canonical(z.rep.adj())
+        assert z.trace() == canonical_trace(z.rep.trace())
+        assert z.is_identity() == mat2_is_identity(z.rep)
+    assert (x * y).rep == mat2_canonical(x.rep * y.rep)
+    assert (x * x.inv()).is_identity()
+    ball = enumerate_ball(spec, 2)
+    assert trace_set(ball).provenance == mat2_least_traces(
+        (g.rep, wl) for g, wl in ball.word_length.items())
 
 
 @settings(max_examples=15, deadline=None, database=None)

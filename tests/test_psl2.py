@@ -4,10 +4,12 @@ import pytest
 
 from tracelab import (FieldDesc, Mat2, MatClass, PreconditionError, ProjMat,
                       QQ, QuadElem, an_iteration, an_step, canonical_trace,
-                      classify, cusp_normalize, format_mat2, parabolic_shift_trace,
-                      parse_mat2)
+                      catalog, catalog_names, classify, cusp_normalize,
+                      enumerate_ball, format_mat2, parabolic_shift_trace,
+                      parse_mat2, trace_set)
 
-from conftest import rand_elem, rand_mat
+from conftest import (mat2_canonical, mat2_is_identity, mat2_least_traces, rand_elem,
+                      rand_mat)
 
 FI = FieldDesc(-1)
 F5 = FieldDesc(5)
@@ -230,3 +232,40 @@ class TestMatrixText:
         assert canonical_trace(q(-3)) == q(3)
         assert canonical_trace(q(0, -2, FI)) == q(0, 2, FI)
         assert canonical_trace(q(0)) == q(0)
+
+
+class TestMat2Oracle:
+    """The integer-coordinate ProjMat against the same computation done with
+    Mat2 products of field elements."""
+
+    @staticmethod
+    def mat2_ball(spec, radius):
+        letters = []
+        for g in spec.generators:
+            for cand in (g.rep, g.rep.adj()):
+                cand = mat2_canonical(cand)
+                if not mat2_is_identity(cand) and cand not in letters:
+                    letters.append(cand)
+        ident = Mat2.identity(spec.field)
+        seen = {ident: 0}
+        frontier = [ident]
+        for level in range(1, radius + 1):
+            new_frontier = []
+            for g in frontier:
+                for let in letters:
+                    h = mat2_canonical(g * let)
+                    if h not in seen:
+                        seen[h] = level
+                        new_frontier.append(h)
+            frontier = new_frontier
+        return seen
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_ball_and_traces_at_radius_5(self, name):
+        spec = catalog(name)
+        ball = enumerate_ball(spec, 5)
+        expected = self.mat2_ball(spec, 5)
+        assert [(g.rep, wl) for g, wl in ball.word_length.items()] == list(expected.items())
+        least = mat2_least_traces(expected.items())
+        ts = trace_set(ball)
+        assert ts.provenance == least and ts.size == len(least)

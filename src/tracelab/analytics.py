@@ -158,7 +158,8 @@ def dn_set(n: int) -> CountingSet:
     if n < 1:
         raise PreconditionError("dn_set requires N >= 1")
     tuples = [(k, l) for k in range(1, n + 1) for l in range(1, n // k + 1)]
-    assert len(tuples) >= n * math.log(n) - n
+    if len(tuples) < n * math.log(n) - n:
+        raise AssertionError("|D_N| fell below N ln N - N")
     return CountingSet("D_N", n, tuple(tuples))
 
 
@@ -373,6 +374,8 @@ def delta_c_cluster_witness(c: QuadElem, ring: RingOfIntegers, n: int,
     """
     if n < 1:
         raise PreconditionError("delta_c_cluster_witness requires n >= 1")
+    if m1 < 1:
+        raise PreconditionError("delta_c_cluster_witness requires m1 >= 1")
     if not ring.is_euclidean:
         raise PreconditionError("witness construction needs a Euclidean ring or Z")
     if ring.contains(c):
@@ -382,7 +385,8 @@ def delta_c_cluster_witness(c: QuadElem, ring: RingOfIntegers, n: int,
     m2 = m2_constant(ring)
     big_m = max(float(m1), m2)
     log_p, log_q, log_c = _log_abs(p), _log_abs(q), _log_abs(c)
-    assert log_q > 0
+    if log_q <= 0:
+        raise AssertionError("the reduced denominator q is a unit")
 
     # g(k) = 2^k - 1 satisfies c^(2^k) = (p/q)^g(k) * c
     f = [0]
@@ -428,11 +432,15 @@ def delta_c_cluster_witness(c: QuadElem, ring: RingOfIntegers, n: int,
         exponents.append(k_j)
         running = running * v[j]
 
-    assert len(set(points)) == n + 1, "witness points collided"
+    if len(set(points)) != n + 1:
+        raise AssertionError("witness points collided")
     for j, (z, x, e) in enumerate(zip(points, factors, exponents)):
-        assert ring.contains(x), f"lattice factor {j} not integral"
-        assert (z - x * m1 * c ** (2 ** e)).is_zero()
-        assert _half_norm_bound(z - points[0]), f"|z_{j} - z_0| > 1/2"
+        if not ring.contains(x):
+            raise AssertionError(f"lattice factor {j} not integral")
+        if not (z - x * m1 * c ** (2 ** e)).is_zero():
+            raise AssertionError(f"z_{j} is not m1 * x_{j} * c^(2^{e})")
+        if not _half_norm_bound(z - points[0]):
+            raise AssertionError(f"|z_{j} - z_0| > 1/2")
     return DeltaWitness(tuple(points), tuple(factors), tuple(exponents),
                         tuple(f), p, q, m1)
 

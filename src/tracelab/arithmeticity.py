@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 from .errors import PreconditionError
 from .groups import Ball, TraceSet, gamma2_ball, trace_set
 from .psl2 import canonical_trace
-from .qfield import QQ, FieldDesc, QuadElem, format_quadelem, ring_of_integers
+from .qfield import QQ, FieldDesc, QuadElem, _ring_of, format_quadelem
 
 VERDICT_CONSISTENT = "consistent_with_derived_from_quaternion_algebra"
 VERDICT_WITNESS = "non_arithmetic_witness"
@@ -67,10 +67,7 @@ class IntegralityResult:
 
 def _lattice_denominator(t: QuadElem) -> int:
     """Denominator of t with respect to the ring of integers of its field."""
-    if t.field.is_rational or t.b == 0:
-        return t.a.denominator
-    ring = ring_of_integers(t.field)
-    m, n = ring.lattice_coords(t)
+    m, n = _ring_of(t.field).lattice_coords(t)
     return math.lcm(m.denominator, n.denominator)
 
 

@@ -30,6 +30,17 @@ def _dec(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that JSON can carry (no NaN or Infinity)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, not {text!r}")
+    return value
+
+
 def _budget_default() -> int:
     raw = os.environ.get(BUDGET_ENV)
     try:
@@ -146,7 +157,7 @@ def cmd_cluster(args) -> Report:
         "cells_touched": grid.cells_touched,
         "mass": grid.mass,
         "gap": gap_val,
-        "growth_slope": slope,
+        "growth_slope": None if math.isnan(slope) else slope,
     }
     csv_rows = [["cell", "m", "n", "count"]]
     data_rows = []
@@ -176,7 +187,7 @@ def cmd_growth(args) -> Report:
     payload = {
         "command": "growth", "group": spec.name, "radius": ball.radius,
         "counts": [{"n": n, "count": c} for n, c in counts],
-        "slope": slope,
+        "slope": None if math.isnan(slope) else slope,
     }
     rows = [[n, c] for n, c in counts]
     return Report(payload, [["n", "count"]] + rows, rows)
@@ -360,10 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--N", type=int, required=True)
     p = add("kronecker", cmd_kronecker)
-    p.add_argument("--theta1", type=float, required=True)
-    p.add_argument("--theta2", type=float, required=True)
+    p.add_argument("--theta1", type=_finite_float, required=True)
+    p.add_argument("--theta2", type=_finite_float, required=True)
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--delta", type=_finite_float, default=0.0)
     p = add("corollary", cmd_corollary, group=True)
     p.add_argument("--window", default="5")
     return ap

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError, PreconditionError
 from .psl2 import ProjMat, format_mat2, parse_mat2
-from .qfield import EUCLIDEAN_IMAGINARY_D, QQ, FieldDesc, QuadElem
+from .qfield import EUCLIDEAN_IMAGINARY_D, QQ, FieldDesc, QuadElem, ring_of_integers
 
 DEFAULT_CAP = 5_000_000
 
@@ -232,10 +232,8 @@ def catalog(name: str) -> GroupSpec:
         d = int(key[8:-1])
         if d in EUCLIDEAN_IMAGINARY_D:
             fld = FieldDesc(d)
-            omega = (QuadElem.of(Fraction(1, 2), Fraction(1, 2), fld)
-                     if d % 4 == 1 else QuadElem.of(0, 1, fld))
             gens = (ProjMat.make(1, 1, 0, 1, field=fld),
-                    ProjMat.make(1, omega, 0, 1, field=fld),
+                    ProjMat.make(1, ring_of_integers(fld).omega, 0, 1, field=fld),
                     ProjMat.make(0, -1, 1, 0, field=fld))
             return GroupSpec(f"bianchi({d})", gens, fld, ARITHMETIC)
     raise KeyError(f"unknown catalog group {name!r}; known: {', '.join(catalog_names())}")
@@ -252,18 +250,24 @@ def group_spec_to_dict(spec: GroupSpec) -> dict:
     }
 
 
+def _required(data: dict, key: str):
+    if key not in data:
+        raise ValueError(f"a group spec needs the key {key!r}")
+    return data[key]
+
+
 def group_spec_from_dict(data: dict) -> GroupSpec:
     if not isinstance(data, dict):
         raise ValueError("a group spec must be a JSON object")
     d = data.get("field_d")
     if d is not None and type(d) is not int:
         raise ValueError(f"field_d must be an integer or null, not {d!r}")
-    texts = data["generators"]
+    texts = _required(data, "generators")
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise ValueError("generators must be a list of matrix literals")
     fld = QQ if d is None else FieldDesc(d)
     gens = tuple(ProjMat.of(parse_mat2(text, fld)) for text in texts)
-    return GroupSpec(str(data["name"]), gens, fld,
+    return GroupSpec(str(_required(data, "name")), gens, fld,
                      str(data.get("expected_class", UNKNOWN)))
 
 

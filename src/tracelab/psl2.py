@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import PreconditionError
-from .qfield import QQ, FieldDesc, QuadElem, _common_field, format_quadelem, parse_quadelem
+from .qfield import (QQ, FieldDesc, QuadElem, RingOfIntegers, _common_field, _ring_of,
+                     embedded_sign, format_quadelem, parse_quadelem)
 
 Scalar = Union[int, Fraction, QuadElem]
 
@@ -99,67 +100,16 @@ class Mat2:
 def canonical_trace(t: QuadElem) -> QuadElem:
     """Fold the sign: nonnegative embedded real part, tie broken to
     nonnegative imaginary part."""
-    s = t.real_sign()
-    if s == 0:
-        s = t.imag_sign()
-    return -t if s < 0 else t
+    return -t if embedded_sign(t.a, t.b, t.field.d) < 0 else t
 
 
 # -- PSL(2) on integer coordinates -----------------------------------------
 
-class _Basis:
-    """The basis (1, omega) of the ring of integers of a field, with
-    omega^2 = t*omega - n: omega = (1+sqrt(d))/2 when d = 1 (mod 4), else
-    sqrt(d). Over Q every omega-coordinate is 0 (t = n = d = 0).
-
-    Twice the value x0 + x1*omega is (2*x0 + t*x1) + (2 - t)*x1*sqrt(d)."""
-
-    __slots__ = ("field", "d", "t", "n", "rs")
-
-    def __init__(self, field: FieldDesc):
-        self.field = field
-        self.d = field.d or 0
-        self.t = 1 if self.d % 4 == 1 else 0
-        self.n = (1 - self.d) // 4 if self.t else -self.d
-        # (2 * rational part)^2 against this times x1^2 decides real signs
-        self.rs = self.d * (2 - self.t) ** 2
-
-    def sign(self, x0: int, x1: int) -> int:
-        """Sign of the embedded real part of x0 + x1*omega, tie broken by
-        the imaginary part (as QuadElem.real_sign, then imag_sign)."""
-        if not x1:
-            return (x0 > 0) - (x0 < 0)
-        re2 = 2 * x0 + self.t * x1
-        if self.d < 0:
-            return (re2 > 0) - (re2 < 0) or (1 if x1 > 0 else -1)
-        # real field: when the two parts differ in sign, the larger square
-        # wins; the squares never tie because sqrt(d) is irrational
-        if re2 and (re2 > 0) != (x1 > 0) and re2 * re2 > self.rs * x1 * x1:
-            return 1 if re2 > 0 else -1
-        return 1 if x1 > 0 else -1
-
-    def coords(self, e: QuadElem) -> tuple[Fraction, Fraction]:
-        """Rational (x0, x1) with e = x0 + x1*omega."""
-        if self.t:
-            return e.a - e.b, 2 * e.b
-        return e.a, e.b
-
-    def elem(self, x0: int, x1: int, den: int) -> QuadElem:
-        """The field element (x0 + x1*omega)/den."""
-        if self.t:
-            return QuadElem(Fraction(2 * x0 + x1, 2 * den), Fraction(x1, 2 * den),
-                            self.field)
-        return QuadElem(Fraction(x0, den), Fraction(x1, den), self.field)
-
-
-_BASES: dict[Optional[int], _Basis] = {}
-
-
-def _basis(field: FieldDesc) -> _Basis:
-    basis = _BASES.get(field.d)
-    if basis is None:
-        basis = _BASES[field.d] = _Basis(field)
-    return basis
+def _sign(ring: RingOfIntegers, x0: int, x1: int) -> int:
+    """The embedded sign of x0 + x1*omega, read off its double
+    (2*x0 + t*x1) + (2 - t)*x1*sqrt(d)."""
+    t = ring.t
+    return embedded_sign(2 * x0 + t * x1, (2 - t) * x1, ring.field.d)
 
 
 _IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
@@ -178,9 +128,9 @@ class ProjMat:
     identity; the determinant is checked there, when the Mat2 is made.
     """
 
-    __slots__ = ("_basis", "den", "x", "_hash")
+    __slots__ = ("_ring", "den", "x", "_hash")
 
-    def __init__(self, basis: _Basis, den: int, x: tuple[int, ...]):
+    def __init__(self, ring: RingOfIntegers, den: int, x: tuple[int, ...]):
         if den != 1:
             g = math.gcd(den, *x)
             if g != 1:
@@ -188,20 +138,20 @@ class ProjMat:
                 x = tuple(v // g for v in x)
         for i in (0, 2, 4, 6):
             if x[i] or x[i + 1]:
-                if basis.sign(x[i], x[i + 1]) < 0:
+                if _sign(ring, x[i], x[i + 1]) < 0:
                     x = tuple(map(operator.neg, x))
                 break
-        self._basis = basis
+        self._ring = ring
         self.den = den
         self.x = x
         self._hash = hash((den, x))
 
     @staticmethod
     def of(m: Mat2) -> ProjMat:
-        basis = _basis(m.field)
-        coords = [v for e in m.entries() for v in basis.coords(e)]
+        ring = _ring_of(m.field)
+        coords = [v for e in m.entries() for v in ring.lattice_coords(e)]
         den = math.lcm(*(v.denominator for v in coords))
-        return ProjMat(basis, den, tuple((v * den).numerator for v in coords))
+        return ProjMat(ring, den, tuple((v * den).numerator for v in coords))
 
     @staticmethod
     def make(a: Scalar, b: Scalar, c: Scalar, d: Scalar,
@@ -210,42 +160,43 @@ class ProjMat:
 
     @staticmethod
     def identity(field: FieldDesc = QQ) -> ProjMat:
-        return ProjMat(_basis(field), 1, _IDENTITY)
+        return ProjMat(_ring_of(field), 1, _IDENTITY)
 
     @property
     def field(self) -> FieldDesc:
-        return self._basis.field
+        return self._ring.field
 
     @property
     def rep(self) -> Mat2:
         """The sign-canonical matrix, as a Mat2 of field elements."""
-        elem, x, den = self._basis.elem, self.x, self.den
-        return Mat2(*(elem(x[i], x[i + 1], den) for i in (0, 2, 4, 6)))
+        element, x, den = self._ring.element, self.x, self.den
+        return Mat2(*(element(Fraction(x[i], den), Fraction(x[i + 1], den))
+                      for i in (0, 2, 4, 6)))
 
     def __mul__(self, other: ProjMat) -> ProjMat:
-        basis = self._basis
-        if other._basis is not basis:
-            basis = _basis(_common_field(basis.field, other._basis.field))
+        ring = self._ring
+        if other._ring is not ring:
+            ring = _ring_of(_common_field(ring.field, other._ring.field))
         a0, a1, b0, b1, c0, c1, d0, d1 = self.x
         e0, e1, f0, f1, g0, g1, h0, h1 = other.x
         # (p0 + p1 w)(q0 + q1 w) = p0 q0 - n p1 q1 + (p0 q1 + p1 q0 + t p1 q1) w
-        n, t = basis.n, basis.t
+        n, t = ring.n, ring.t
         ae, af = a1 * e1 + b1 * g1, a1 * f1 + b1 * h1
         ce, cf = c1 * e1 + d1 * g1, c1 * f1 + d1 * h1
         x = (a0 * e0 + b0 * g0 - n * ae, a0 * e1 + a1 * e0 + b0 * g1 + b1 * g0 + t * ae,
              a0 * f0 + b0 * h0 - n * af, a0 * f1 + a1 * f0 + b0 * h1 + b1 * h0 + t * af,
              c0 * e0 + d0 * g0 - n * ce, c0 * e1 + c1 * e0 + d0 * g1 + d1 * g0 + t * ce,
              c0 * f0 + d0 * h0 - n * cf, c0 * f1 + c1 * f0 + d0 * h1 + d1 * h0 + t * cf)
-        return ProjMat(basis, self.den * other.den, x)
+        return ProjMat(ring, self.den * other.den, x)
 
     def inv(self) -> ProjMat:
         a0, a1, b0, b1, c0, c1, d0, d1 = self.x
-        return ProjMat(self._basis, self.den, (d0, d1, -b0, -b1, -c0, -c1, a0, a1))
+        return ProjMat(self._ring, self.den, (d0, d1, -b0, -b1, -c0, -c1, a0, a1))
 
     def trace(self) -> QuadElem:
         """The trace a + d, sign-folded as canonical_trace folds it."""
-        t0, t1, den, basis = self.trace_key()
-        return basis.elem(t0, t1, den)
+        t0, t1, den, _ = self.trace_key()
+        return self._ring.element(Fraction(t0, den), Fraction(t1, den))
 
     def trace_key(self) -> tuple:
         """trace() as exact integers: equal keys iff equal traces."""
@@ -254,9 +205,9 @@ class ProjMat:
         if den != 1:
             g = math.gcd(den, t0, t1)
             den, t0, t1 = den // g, t0 // g, t1 // g
-        if self._basis.sign(t0, t1) < 0:
+        if _sign(self._ring, t0, t1) < 0:
             t0, t1 = -t0, -t1
-        return (t0, t1, den, self._basis)
+        return (t0, t1, den, self._ring.field.d)
 
     def is_identity(self) -> bool:
         return self.den == 1 and self.x == _IDENTITY
@@ -264,7 +215,7 @@ class ProjMat:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjMat):
             return NotImplemented
-        return self.x == other.x and self.den == other.den and self._basis is other._basis
+        return self.x == other.x and self.den == other.den and self._ring is other._ring
 
     def __hash__(self) -> int:
         return self._hash

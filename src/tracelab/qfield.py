@@ -8,6 +8,8 @@ the five norm-Euclidean imaginary quadratic rings (d in {-1,-2,-3,-7,-11}).
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -75,6 +77,21 @@ def _common_field(f: FieldDesc, g: FieldDesc) -> FieldDesc:
     if g.is_rational:
         return f
     raise FieldMismatchError(f"cannot mix elements of {f} and {g}")
+
+
+def embedded_sign(a: Rational, b: Rational, d: Optional[int]) -> int:
+    """Exact sign of a + b*sqrt(d) under the principal embedding: the sign of
+    the real part, ties broken by the sign of the imaginary part. b is 0
+    over Q (d None)."""
+    if not b:
+        return (a > 0) - (a < 0)
+    if d < 0:
+        return (a > 0) - (a < 0) or (1 if b > 0 else -1)
+    # real field: when a and b differ in sign the larger of a^2 and d*b^2
+    # wins; they never tie because sqrt(d) is irrational
+    if a and (a > 0) != (b > 0) and a * a > d * b * b:
+        return 1 if a > 0 else -1
+    return 1 if b > 0 else -1
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,17 +219,8 @@ class QuadElem:
 
     def real_sign(self) -> int:
         """Exact sign of Re(a + b*sqrt(d)) under the principal embedding."""
-        d = self.field.d
-        if d is None or d < 0:
-            return -1 if self.a < 0 else (1 if self.a > 0 else 0)
-        # real field: sign of a + b*sqrt(d)
-        a, b = self.a, self.b
-        if a >= 0 and b >= 0:
-            return 1 if (a > 0 or b > 0) else 0
-        if a <= 0 and b <= 0:
-            return -1
-        s = a * a - d * b * b  # nonzero: sqrt(d) irrational
-        return (1 if a > 0 else -1) if s > 0 else (1 if b > 0 else -1)
+        return embedded_sign(self.a, 0 if self.field.is_imaginary else self.b,
+                             self.field.d)
 
     def imag_sign(self) -> int:
         d = self.field.d
@@ -222,10 +230,8 @@ class QuadElem:
 
     def compare_embedded(self, other: QuadElem) -> int:
         """Exact comparison by embedded real part, then imaginary part."""
-        x, y, _ = self._join(self._coerce(other))
-        diff = x - y
-        s = diff.real_sign()
-        return s if s != 0 else diff.imag_sign()
+        x, y, field = self._join(self._coerce(other))
+        return embedded_sign(x.a - y.a, x.b - y.b, field.d)
 
     def embed(self, conjugate: bool = False):
         """Double-precision value; complex for d < 0, float otherwise.
@@ -336,14 +342,22 @@ def parse_quadelem(text: str, field: Optional[FieldDesc] = None) -> QuadElem:
 
 @dataclass(frozen=True, slots=True)
 class RingOfIntegers:
-    """Z (field QQ) or Z + Z*omega inside a quadratic field."""
+    """Z (field QQ) or Z + Z*omega inside a quadratic field, where
+    omega^2 = t*omega - n for the integers t = Tr(omega) and n = N(omega);
+    t = n = 0 over Z."""
 
     field: FieldDesc
     omega: QuadElem
+    t: int = dataclasses.field(init=False, repr=False, compare=False)
+    n: int = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "t", int(self.omega.trace()))
+        object.__setattr__(self, "n", int(self.omega.norm()))
 
     @staticmethod
     def integers() -> "RingOfIntegers":
-        return RingOfIntegers(QQ, QuadElem.rational(0))
+        return _ring_of(QQ)
 
     @property
     def is_rational(self) -> bool:
@@ -369,12 +383,14 @@ class RingOfIntegers:
         m, n = self.lattice_coords(x)
         return m.denominator == 1 and n.denominator == 1
 
-    def element(self, m: int, n: int = 0) -> QuadElem:
+    def element(self, m: Rational, n: Rational = 0) -> QuadElem:
+        """The field element m + n*omega."""
         if self.is_rational:
             if n != 0:
                 raise ValueError("Z has a rank-1 lattice")
             return QuadElem.rational(m)
-        return QuadElem.rational(m, self.field) + self.omega * n
+        w = self.omega
+        return QuadElem(m + n * w.a, n * w.b, self.field)
 
     def is_unit(self, x: QuadElem) -> bool:
         return self.contains(x) and abs(x.norm()) == 1
@@ -402,16 +418,25 @@ class RingOfIntegers:
         return best
 
 
-def ring_of_integers(field: FieldDesc) -> RingOfIntegers:
-    """omega = (1+sqrt(d))/2 when d = 1 (mod 4), else sqrt(d)."""
-    if field.is_rational:
-        raise PreconditionError("ring_of_integers requires a quadratic field")
+@functools.cache
+def _ring_of(field: FieldDesc) -> RingOfIntegers:
+    """The one ring of integers of each field: omega = (1+sqrt(d))/2 when
+    d = 1 (mod 4), else sqrt(d); omega = 0 over Q."""
     d = field.d
-    if d % 4 == 1:
+    if d is None:
+        omega = QuadElem.rational(0)
+    elif d % 4 == 1:
         omega = QuadElem.of(Fraction(1, 2), Fraction(1, 2), field)
     else:
         omega = QuadElem.of(0, 1, field)
     return RingOfIntegers(field, omega)
+
+
+def ring_of_integers(field: FieldDesc) -> RingOfIntegers:
+    """The ring of integers Z + Z*omega of a quadratic field."""
+    if field.is_rational:
+        raise PreconditionError("ring_of_integers requires a quadratic field")
+    return _ring_of(field)
 
 
 def m1_constant(ring: RingOfIntegers, alpha: QuadElem) -> int:
@@ -471,25 +496,21 @@ def divmod_ring(x: QuadElem, y: QuadElem, ring: RingOfIntegers) -> tuple[QuadEle
         return q, x - q * y
     t = x / y
     tm, tn = ring.lattice_coords(t)
-    wa, wb = ring.omega.a, ring.omega.b
-    d = ring.field.d
     best = None
     best_key = None
     n0 = tn.numerator // tn.denominator
     for n in range(n0 - 1, n0 + 3):
-        # with n fixed, Re(t - (m + n*omega)) = (tm - m) + (tn - n)*wa
-        m_center = tm + (tn - n) * wa
+        # with n fixed, Re(t - (m + n*omega)) = Re(tm + (tn - n)*omega) - m
+        m_center = ring.element(tm, tn - n).a
         m0 = m_center.numerator // m_center.denominator
         for m in range(m0 - 1, m0 + 3):
-            u = (tm - m) + (tn - n) * wa
-            v = (tn - n) * wb
-            dist = u * u - d * v * v
             cand = ring.element(m, n)
-            key = (dist, cand.a, cand.b)
+            key = ((t - cand).norm(), cand.a, cand.b)
             if best_key is None or key < best_key:
                 best, best_key = cand, key
     r = x - best * y
-    assert abs(r.norm()) < abs(y.norm()), "division failed to reduce the norm"
+    if abs(r.norm()) >= abs(y.norm()):
+        raise AssertionError("division failed to reduce the norm")
     return best, r
 
 
@@ -525,7 +546,8 @@ def bezout(r: QuadElem, s: QuadElem, ring: RingOfIntegers
         return None
     inv = a.conjugate() * QuadElem.rational(Fraction(1, int(a.norm())), ring.field)
     u, v = u0 * inv, v0 * inv
-    assert (u * r + v * s - 1).is_zero()
+    if not (u * r + v * s - 1).is_zero():
+        raise AssertionError("Bezout identity u*r + v*s = 1 failed")
     return u, v
 
 
@@ -571,7 +593,8 @@ def prime_power_factor(x: QuadElem, ring: RingOfIntegers) -> QuadElem:
     while divides(pi, rest, ring):
         rest = rest / pi
         e += 1
-    assert e >= 1
+    if e < 1:
+        raise AssertionError("the prime found does not divide x")
     return pi ** e
 
 
@@ -601,12 +624,15 @@ def bezout_bounded(r: QuadElem, s: QuadElem, s1: QuadElem, ring: RingOfIntegers
     u, v = pair
     w, v = divmod_ring(v, r, ring)
     u = u + w * s
-    assert (u * r + v * s - 1).is_zero()
+    if not (u * r + v * s - 1).is_zero():
+        raise AssertionError("Bezout identity failed after reducing v mod r")
     if bezout(v, s1, ring) is None:
         v = v + r
         u = u - s
-        assert (u * r + v * s - 1).is_zero()
+        if not (u * r + v * s - 1).is_zero():
+            raise AssertionError("Bezout identity failed after the v + r correction")
     if bezout(v, s1, ring) is None:
         raise PreconditionError("bezout_bounded correction failed: (v, s1) != 1")
-    assert _norm_sq_bound_holds(v, r, ring), "remainder bound |v| <= M2|r| violated"
+    if not _norm_sq_bound_holds(v, r, ring):
+        raise AssertionError("remainder bound |v| <= M2|r| violated")
     return u, v

@@ -13,6 +13,13 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """json.loads that, like RFC 8259 parsers, rejects NaN and Infinity."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 class TestBasicCommands:
     def test_enumerate_json(self, capsys):
         code, out, _ = run_cli(["enumerate", "--group", "psl2z", "--radius", "3"],
@@ -54,9 +61,10 @@ class TestBasicCommands:
     def test_growth(self, capsys):
         code, out, _ = run_cli(["growth", "--group", "psl2z", "--radius", "4",
                                 "--max-n", "5"], capsys)
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert code == 0
         assert len(payload["counts"]) == 5
+        assert isinstance(payload["slope"], float)
 
     def test_arith_check(self, capsys):
         code, out, _ = run_cli(["arith-check", "--group", "psl2z", "--radius", "6",
@@ -162,20 +170,30 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not target.exists()
 
-    @pytest.mark.parametrize("spec", [
-        [1, 2],
-        {"name": "x", "generators": 5},
-        {"generators": [["1"]]},
-        {"name": "x", "field_d": [1], "generators": ["[1,1;0,1]"]},
+    @pytest.mark.parametrize("spec, needle", [
+        ([1, 2], "JSON object"),
+        ({"name": "x", "generators": 5}, "list of matrix literals"),
+        ({"generators": [["1"]]}, "list of matrix literals"),
+        ({"name": "x", "field_d": [1], "generators": ["[1,1;0,1]"]}, "field_d"),
+        ({"generators": ["[1,1;0,1]"]}, "key 'name'"),
+        ({"name": "x", "field_d": None}, "key 'generators'"),
     ], ids=["not-object", "generators-not-list", "generator-not-string",
-            "field-d-not-integer"])
-    def test_malformed_spec_file_is_2(self, capsys, tmp_path, spec):
+            "field-d-not-integer", "missing-name", "missing-generators"])
+    def test_malformed_spec_file_is_2(self, capsys, tmp_path, spec, needle):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(spec))
         code, out, err = run_cli(["enumerate", "--spec-file", str(path),
                                   "--radius", "2"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert needle in err
+
+    @pytest.mark.parametrize("m1", ["0", "-5"])
+    def test_witness_m1_below_one_is_4(self, capsys, m1):
+        code, out, err = run_cli(["delta-c", "--c", "3/2", "--ring", "Z",
+                                  "--witness", "2", "--m1", m1], capsys)
+        assert code == 4 and out == ""
+        assert "m1 >= 1" in err
 
     def test_zero_denominator_window_is_2(self, capsys):
         code, out, err = run_cli(["corollary", "--group", "psl2z", "--radius", "2",
@@ -222,6 +240,30 @@ class TestDeterminism:
             assert main(argv + ["--format", fmt, "--output", str(out1)]) == 0
             assert main(argv + ["--format", fmt, "--output", str(out2)]) == 0
             assert out1.read_bytes() == out2.read_bytes(), argv
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("argv, key", [
+        (["growth", "--max-n", "1"], "slope"),
+        (["growth", "--max-n", "0"], "slope"),
+        (["cluster", "--max-n", "1"], "growth_slope"),
+    ])
+    def test_undefined_slope_is_null(self, capsys, argv, key):
+        code, out, _ = run_cli(argv + ["--group", "psl2z", "--radius", "3"], capsys)
+        assert code == 0
+        assert strict_json(out)[key] is None
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--theta1", "nan"), ("--theta1", "inf"), ("--theta2", "-inf"),
+        ("--theta2", "NaN"), ("--delta", "inf"), ("--delta", "nan"),
+    ])
+    def test_non_finite_kronecker_input_is_2(self, capsys, flag, value):
+        argv = {"--theta1": "1.5", "--theta2": "1", "--delta": "0"}
+        argv[flag] = value
+        code, out, err = run_cli(["kronecker", "--K", "3"]
+                                 + [f"{k}={v}" for k, v in argv.items()], capsys)
+        assert code == 2 and out == ""
+        assert "finite" in err
 
 
 class TestLargeWitnessOutput:

@@ -2,16 +2,20 @@
 interpreter's 4300-digit int <-> str limit), determinant and sign
 invariants of products, agreement of the integer-coordinate ProjMat with
 the Mat2 path, and invariance of the trace set under the choice of
-generators."""
+generators, and the shared embedded-sign rule against a high-precision
+evaluation."""
 
+import math
 from fractions import Fraction
 
+import mpmath
 from hypothesis import given, settings, strategies as st
 
 from tracelab import (QQ, FieldDesc, GroupSpec, Mat2, ProjMat, QuadElem,
                       canonical_trace, enumerate_ball, format_mat2,
                       format_quadelem, parse_mat2, parse_quadelem, trace_set)
 from tracelab.groups import group_spec_from_dict
+from tracelab.qfield import embedded_sign
 
 from conftest import mat2_canonical, mat2_is_identity, mat2_least_traces
 
@@ -116,3 +120,38 @@ def test_trace_set_ignores_generator_order_and_inversion(mats, rnd):
     a = trace_set(enumerate_ball(GroupSpec("a", tuple(gens), field), 3))
     b = trace_set(enumerate_ball(GroupSpec("b", tuple(other), field), 3))
     assert a.exact == b.exact and a.provenance == b.provenance
+
+
+SIGN_DS = (-11, -7, -3, -2, -1, 2, 3, 5, 6, 7, 13)
+# zero often, so that the real part ties and the imaginary part decides
+sign_coefs = st.builds(Fraction, st.just(0) | st.integers(-10 ** 6, 10 ** 6),
+                       st.integers(1, 10 ** 3))
+
+
+@st.composite
+def sign_inputs(draw):
+    """(a, b, d); for real fields, half the draws put a next to -b*sqrt(d),
+    where only the exact comparison of a^2 with d*b^2 decides the sign."""
+    d, a, b = draw(st.sampled_from(SIGN_DS)), draw(sign_coefs), draw(sign_coefs)
+    if d > 0 and draw(st.booleans()):
+        den = draw(st.integers(1, 10 ** 3))
+        a = Fraction(math.floor(-b * math.sqrt(d) * den) + draw(st.integers(-2, 2)), den)
+    return a, b, d
+
+
+def _mp_sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(sign_inputs())
+def test_embedded_sign_matches_high_precision_value(drawn):
+    # |a + b*sqrt(d)| >= 1e-20 at these sizes, far above the 60-digit error
+    a, b, d = drawn
+    with mpmath.workdps(60):
+        a_mp = mpmath.mpf(a.numerator) / a.denominator
+        b_mp = mpmath.mpf(b.numerator) / b.denominator
+        root = mpmath.sqrt(abs(d))
+        re, im = (a_mp + b_mp * root, 0) if d > 0 else (a_mp, b_mp * root)
+        expected = _mp_sign(re) or _mp_sign(im)
+    assert embedded_sign(a, b, d) == expected

@@ -113,6 +113,15 @@ class TestRingOfIntegers:
         with pytest.raises(PreconditionError):
             ring_of_integers(QQ)
 
+    def test_one_ring_per_field_with_omega_trace_and_norm(self):
+        for d, t, n in ((-1, 0, 1), (-3, 1, 1), (-7, 1, 2), (2, 0, -2), (5, 1, -1)):
+            ring = ring_of_integers(FieldDesc(d))
+            assert ring is ring_of_integers(FieldDesc(d))
+            assert (ring.t, ring.n) == (t, n)
+            assert ring.omega * ring.omega == ring.omega * t - n
+        zz = RingOfIntegers.integers()
+        assert zz is RingOfIntegers.integers() and (zz.t, zz.n) == (0, 0)
+
     def test_omega_is_integral_and_lattice_closed(self, rng):
         for d in (-1, -2, -3, -7, -11, 5):
             ring = ring_of_integers(FieldDesc(d))

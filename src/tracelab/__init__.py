@@ -14,7 +14,7 @@ from .psl2 import (Mat2, MatClass, ProjMat, an_iteration, an_step,
 from .groups import (Ball, GroupSpec, TraceSet, catalog, catalog_names,
                      enumerate_ball, enumerate_largest_ball, gamma2_ball,
                      load_group_spec, trace_set)
-from .analytics import (ClusterGrid, CollisionReport, CountingSet,
+from .analytics import (ClusterGrid, CollisionReport, CountingSet, DeltaCSet,
                         DeltaWitness, cluster_counts, delta_c_cluster_witness,
                         delta_c_set, dn_set, f_map, g_map, gap, growth_count,
                         growth_profile, is_delta_c_member, kronecker_gap_demo,

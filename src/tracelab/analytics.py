@@ -4,6 +4,7 @@ the constructive clustering-failure witness for non-integral c."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ import mpmath
 
 from .errors import PreconditionError
 from .qfield import (QuadElem, RingOfIntegers, bezout_bounded, gcd_ring,
-                     m2_constant, prime_power_factor)
+                     m2_constant, prime_power_factor, ring_of_integers)
 
 Number = Union[int, float, complex, Fraction]
 EULER_GAMMA = 0.5772156649015329
@@ -41,7 +42,7 @@ def cluster_counts(points: Iterable[Number]) -> ClusterGrid:
         z = complex(p)
         try:
             cell = (math.floor(z.real), math.floor(z.imag))
-        except OverflowError:
+        except (OverflowError, ValueError):  # an infinite or NaN coordinate
             raise PreconditionError("cluster_counts requires finite points") from None
         counts[cell] = counts.get(cell, 0) + 1
     max_count = max(counts.values(), default=0)
@@ -265,34 +266,71 @@ def totient_sum_check(n: int) -> TotientSumReport:
 
 # -- truncated Delta_c sets -------------------------------------------------
 
-def _sort_key(x: QuadElem):
-    z = complex(x.embed())
-    return (z.real, z.imag, x.a.numerator, x.a.denominator,
-            x.b.numerator, x.b.denominator)
+@dataclass(frozen=True)
+class DeltaCSet:
+    """A truncated Delta_c sorted by embedding. Each value is
+    (x0 + x1*omega)/den in the basis (1, omega) of `ring`, held as the
+    integers (x0, x1, den) in lowest terms with den > 0; `embedded` holds
+    the values' QuadElem.embed() in the same order."""
+
+    ring: RingOfIntegers
+    coords: tuple[tuple[int, int, int], ...]
+    embedded: tuple[Union[float, complex], ...]
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def values(self) -> list[QuadElem]:
+        """The values as QuadElems of the ring's field, built on demand."""
+        element = self.ring.element
+        return [element(Fraction(x0, den), Fraction(x1, den))
+                for x0, x1, den in self.coords]
 
 
 def delta_c_set(c: QuadElem, ring: RingOfIntegers, k_bound: int, n_bound: int,
-                m1: int = 1) -> list[QuadElem]:
+                m1: int = 1) -> DeltaCSet:
     """Exact truncation {m1 * x * c^(2^n)} over lattice x with coordinates of
     absolute value <= k_bound and 0 <= n <= n_bound, deduplicated and
-    sorted by embedding."""
+    sorted by embedding, ties broken by the exact value."""
     if k_bound < 1 or n_bound < 1:
         raise PreconditionError("delta_c_set requires positive bounds")
-    powers = [c ** (2 ** n) for n in range(0, n_bound + 1)]
-    values: set[QuadElem] = set()
-    if ring.is_rational:
-        for pw in powers:
-            scaled = pw * m1
-            for k in range(-k_bound, k_bound + 1):
-                values.add(scaled * k)
-    else:
-        for pw in powers:
-            scaled = pw * m1
-            for i in range(-k_bound, k_bound + 1):
-                base = scaled * i
-                for j in range(-k_bound, k_bound + 1):
-                    values.add(base + scaled * ring.omega * j)
-    return sorted(values, key=_sort_key)
+    if m1 < 1:
+        raise PreconditionError("delta_c_set requires m1 >= 1")
+    # values live in c's field; over Z the lattice is Z whatever c is
+    basis = (ring_of_integers(c.field) if ring.is_rational and not c.field.is_rational
+             else ring)
+    t, n = basis.t, basis.n
+    p0, p1, q = basis.coords(c)
+    ks = range(-k_bound, k_bound + 1)
+    js = (0,) if ring.is_rational else ks
+    gcd = math.gcd
+    values: set[tuple[int, int, int]] = set()
+    for e in range(n_bound + 1):
+        if e:  # c^(2^e) is the square of c^(2^(e-1))
+            p0, p1, q = p0 * p0 - n * p1 * p1, 2 * p0 * p1 + t * p1 * p1, q * q
+            g = gcd(p0, p1, q)
+            p0, p1, q = p0 // g, p1 // g, q // g
+        # m1*(i + j*omega)*(p0 + p1*omega)/q with omega^2 = t*omega - n
+        u0, v0, u1, v1 = m1 * p0, m1 * n * p1, m1 * p1, m1 * (p0 + t * p1)
+        for i in ks:
+            a0, a1 = i * u0, i * u1
+            for j in js:
+                x0, x1 = a0 - j * v0, a1 + j * v1
+                g = gcd(x0, x1, q)
+                values.add((x0 // g, x1 // g, q // g))
+    coords = list(values)
+    embed = basis.embed_coords
+    embedded = [embed(*x) for x in coords]
+    keys = ([(z.real, z.imag) for z in embedded] if basis.field.is_imaginary
+            else embedded)
+    order = sorted(range(len(coords)), key=keys.__getitem__)
+    if len(set(keys)) < len(keys):
+        # equal embeddings keep the exact order of QuadElem's a, then b
+        exact = basis.sqrt_terms
+        order = [k for _, run in itertools.groupby(order, keys.__getitem__)
+                 for k in sorted(run, key=lambda k: exact(*coords[k]))]
+    return DeltaCSet(basis, tuple(coords[k] for k in order),
+                     tuple(embedded[k] for k in order))
 
 
 def is_delta_c_member(z: QuadElem, c: QuadElem, ring: RingOfIntegers,

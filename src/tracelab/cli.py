@@ -10,6 +10,7 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 from typing import Optional
 
 from . import __version__
@@ -20,7 +21,7 @@ from .arithmeticity import subtraction_closure_check, takeuchi_verdict
 from .errors import BudgetExceededError, PreconditionError
 from .groups import (DEFAULT_CAP, GroupSpec, catalog, enumerate_ball,
                      load_group_spec, trace_set)
-from .qfield import (FieldDesc, RingOfIntegers, format_quadelem,
+from .qfield import (FieldDesc, QuadElem, RingOfIntegers, format_quadelem,
                      parse_quadelem, ring_of_integers)
 
 BUDGET_ENV = "TRACELAB_BUDGET"
@@ -28,6 +29,11 @@ BUDGET_ENV = "TRACELAB_BUDGET"
 
 def _dec(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _json_number(x: float) -> Optional[float]:
+    """x, or None (JSON null) for NaN and +-inf, which JSON cannot carry."""
+    return x if math.isfinite(x) else None
 
 
 def _finite_float(text: str) -> float:
@@ -133,8 +139,9 @@ def cmd_traces(args) -> Report:
         "radius": ball.radius,
         "reduced": ts.reduced,
         "size": ts.size,
-        "traces": [{"value": r[0], "re": float(r[1]), "im": float(r[2]),
-                    "word_length": r[3]} for r in rows],
+        "traces": [{"value": r[0], "re": _json_number(float(r[1])),
+                    "im": _json_number(float(r[2])), "word_length": r[3]}
+                   for r in rows],
     }
     return Report(payload, [["trace", "re", "im", "word_length"]] + rows,
                   [[r[1], r[2]] for r in rows])
@@ -157,7 +164,7 @@ def cmd_cluster(args) -> Report:
         "cells_touched": grid.cells_touched,
         "mass": grid.mass,
         "gap": gap_val,
-        "growth_slope": None if math.isnan(slope) else slope,
+        "growth_slope": _json_number(slope),
     }
     csv_rows = [["cell", "m", "n", "count"]]
     data_rows = []
@@ -187,7 +194,7 @@ def cmd_growth(args) -> Report:
     payload = {
         "command": "growth", "group": spec.name, "radius": ball.radius,
         "counts": [{"n": n, "count": c} for n, c in counts],
-        "slope": None if math.isnan(slope) else slope,
+        "slope": _json_number(slope),
     }
     rows = [[n, c] for n, c in counts]
     return Report(payload, [["n", "count"]] + rows, rows)
@@ -211,6 +218,29 @@ def cmd_arith_check(args) -> Report:
     return Report(payload, csv_rows, rows)
 
 
+# |z| above 2^1026 has no finite embedding, whatever rounding the float
+# conversion does; four more bits leave room for the float estimate below
+_FLOAT_LOG2_LIMIT = 1030
+
+
+def _beyond_float_range(c: QuadElem, k_bound: int, n_bound: int, m1: int) -> bool:
+    """True only when m1*k_bound*c^(2^n_bound), a member of Delta_c, certainly
+    embeds beyond float range, decided without forming the power: |c| is
+    compared exactly with a rational r >= 2^(T/2^n_bound), where
+    T = 1030 - log2(m1*k_bound). Inputs it cannot decide that way (r within
+    2^-900 of 1, or T <= 0) are left to the exact path."""
+    if min(k_bound, n_bound, m1) < 1:
+        return False
+    y = math.ldexp(_FLOAT_LOG2_LIMIT - math.log2(m1 * k_bound), -n_bound)
+    if y < 2.0 ** -900:
+        return False
+    # expm1 is within an ulp; 2^-20 of slack keeps r above the bound
+    r = 1 + Fraction(math.expm1(y * math.log(2))) * (1 + Fraction(1, 2 ** 20))
+    if c.field.is_rational or c.field.is_imaginary:
+        return c.norm() > r * r  # the norm is |c|^2 here
+    return c.compare_embedded(r) > 0 or c.compare_embedded(-r) < 0
+
+
 def cmd_delta_c(args) -> Report:
     ring = _ring_from_flag(args.ring)
     c = parse_quadelem(args.c, ring.field)
@@ -231,16 +261,20 @@ def cmd_delta_c(args) -> Report:
         }
         return Report(payload, [["point", "re", "im"]] + rows,
                       [[r[1], r[2]] for r in rows])
-    values = delta_c_set(c, ring, args.k_bound, args.n_bound, m1=args.m1)
-    grid = cluster_counts([v.embed() for v in values])
-    rows = _embedded_rows(values)
+    if _beyond_float_range(c, args.k_bound, args.n_bound, args.m1):
+        raise PreconditionError("cluster_counts requires finite points")
+    dset = delta_c_set(c, ring, args.k_bound, args.n_bound, m1=args.m1)
+    grid = cluster_counts(dset.embedded)
+    text = dset.ring.format_coords
+    rows = [[text(*x), _dec(z.real), _dec(z.imag)]
+            for x, z in zip(dset.coords, map(complex, dset.embedded))]
     payload = {
         "command": "delta-c",
         "c": format_quadelem(c),
         "ring_d": ring.field.d,
         "k_bound": args.k_bound,
         "n_bound": args.n_bound,
-        "size": len(values),
+        "size": len(dset),
         "max_count": grid.max_count,
         "cells_touched": grid.cells_touched,
     }

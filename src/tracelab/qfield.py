@@ -24,11 +24,24 @@ Rational = Union[int, Fraction]
 EUCLIDEAN_IMAGINARY_D = (-1, -2, -3, -7, -11)
 
 
-def _frac_float(fr: Fraction) -> float:
+def _ratio_float(num: int, den: int) -> float:
+    """num/den (den > 0) correctly rounded; beyond float range it overflows
+    to +-inf."""
     try:
-        return float(fr)
+        return num / den
     except OverflowError:
-        return math.inf if fr > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
+
+
+def _embed_terms(an: int, ad: int, bn: int, bd: int, d: Optional[int]):
+    """Double-precision value of an/ad + (bn/bd)*sqrt(d) (ad, bd > 0):
+    complex for d < 0, float otherwise. Values beyond float range overflow
+    to +-inf."""
+    if d is None:
+        return _ratio_float(an, ad)
+    if d > 0:
+        return _ratio_float(an, ad) + _ratio_float(bn, bd) * math.sqrt(d)
+    return complex(_ratio_float(an, ad), _ratio_float(bn, bd) * math.sqrt(-d))
 
 
 def _is_squarefree(n: int) -> bool:
@@ -236,13 +249,9 @@ class QuadElem:
     def embed(self, conjugate: bool = False):
         """Double-precision value; complex for d < 0, float otherwise.
         Values beyond float range overflow to +-inf."""
-        d = self.field.d
-        if d is None:
-            return _frac_float(self.a)
-        b = -self.b if conjugate else self.b
-        if d > 0:
-            return _frac_float(self.a) + _frac_float(b) * math.sqrt(d)
-        return complex(_frac_float(self.a), _frac_float(b) * math.sqrt(-d))
+        a, b = self.a, -self.b if conjugate else self.b
+        return _embed_terms(a.numerator, a.denominator, b.numerator, b.denominator,
+                           self.field.d)
 
     def __repr__(self):
         return f"QuadElem({format_quadelem(self)!r}, field={self.field!r})"
@@ -263,9 +272,9 @@ def _int_text(n: int) -> str:
         return str(Decimal(n))
 
 
-def _format_rat(q: Fraction) -> str:
-    num = _int_text(q.numerator)
-    return num if q.denominator == 1 else f"{num}/{_int_text(q.denominator)}"
+def _rat_text(num: int, den: int) -> str:
+    text = _int_text(num)
+    return text if den == 1 else f"{text}/{_int_text(den)}"
 
 
 def _parse_rat(text: str) -> Fraction:
@@ -276,18 +285,23 @@ def _parse_rat(text: str) -> Fraction:
     return Fraction(*parts)
 
 
+def _format_terms(an: int, ad: int, bn: int, bd: int, d: Optional[int]) -> str:
+    """Canonical whitespace-free text form of an/ad + (bn/bd)*sqrt(d), each
+    fraction in lowest terms with a positive denominator: "p/q" or
+    "p/q+r/s*sqrt(d)"."""
+    if not bn:
+        return _rat_text(an, ad)
+    coef = "" if abs(bn) == 1 and bd == 1 else f"{_rat_text(abs(bn), bd)}*"
+    bpart = f"{coef}sqrt({d})"
+    if not an:
+        return bpart if bn > 0 else f"-{bpart}"
+    return f"{_rat_text(an, ad)}{'+' if bn > 0 else '-'}{bpart}"
+
+
 def format_quadelem(x: QuadElem) -> str:
     """Canonical whitespace-free text form: "p/q" or "p/q+r/s*sqrt(d)"."""
-    if x.b == 0:
-        return _format_rat(x.a)
-    d = x.field.d
-    babs = abs(x.b)
-    coef = "" if babs == 1 else f"{_format_rat(babs)}*"
-    bpart = f"{coef}sqrt({d})"
-    if x.a == 0:
-        return bpart if x.b > 0 else f"-{bpart}"
-    sign = "+" if x.b > 0 else "-"
-    return f"{_format_rat(x.a)}{sign}{bpart}"
+    return _format_terms(x.a.numerator, x.a.denominator, x.b.numerator,
+                        x.b.denominator, x.field.d)
 
 
 def parse_quadelem(text: str, field: Optional[FieldDesc] = None) -> QuadElem:
@@ -378,6 +392,33 @@ class RingOfIntegers:
         n = x.b / self.omega.b
         m = x.a - n * self.omega.a
         return m, n
+
+    def coords(self, x: QuadElem) -> tuple[int, int, int]:
+        """Integers (x0, x1, den) with x = (x0 + x1*omega)/den, den > 0 and
+        gcd(x0, x1, den) = 1."""
+        m, n = self.lattice_coords(x)
+        den = math.lcm(m.denominator, n.denominator)
+        return (m.numerator * (den // m.denominator),
+                n.numerator * (den // n.denominator), den)
+
+    def sqrt_terms(self, x0: int, x1: int, den: int) -> tuple[int, int, int, int]:
+        """(an, ad, bn, bd) with (x0 + x1*omega)/den = an/ad + (bn/bd)*sqrt(d)
+        (den > 0), each fraction in lowest terms with a positive denominator:
+        the numerators and denominators of QuadElem's a and b."""
+        t, den2 = self.t, 2 * den
+        an, bn = 2 * x0 + t * x1, (2 - t) * x1
+        g, h = math.gcd(an, den2), math.gcd(bn, den2)
+        return an // g, den2 // g, bn // h, den2 // h
+
+    def embed_coords(self, x0: int, x1: int, den: int):
+        """QuadElem.embed() of (x0 + x1*omega)/den (den > 0)."""
+        t, den2 = self.t, 2 * den
+        return _embed_terms(2 * x0 + t * x1, den2, (2 - t) * x1, den2,
+                            self.field.d)
+
+    def format_coords(self, x0: int, x1: int, den: int) -> str:
+        """format_quadelem of (x0 + x1*omega)/den (den > 0)."""
+        return _format_terms(*self.sqrt_terms(x0, x1, den), self.field.d)
 
     def contains(self, x: QuadElem) -> bool:
         m, n = self.lattice_coords(x)

@@ -63,3 +63,30 @@ def mat2_least_traces(items) -> dict:
             t = canonical_trace(m.trace())
             least[t] = min(wl, least.get(t, wl))
     return least
+
+
+# -- the QuadElem path: the reference arithmetic for delta_c_set ----------
+
+def delta_c_sort_key(x: QuadElem):
+    z = complex(x.embed())
+    return (z.real, z.imag, x.a.numerator, x.a.denominator,
+            x.b.numerator, x.b.denominator)
+
+
+def delta_c_reference(c: QuadElem, ring, k_bound: int, n_bound: int,
+                      m1: int = 1) -> list:
+    """{m1 * x * c^(2^n)} for lattice x with coordinates in [-k_bound, k_bound]
+    and 0 <= n <= n_bound, in QuadElem arithmetic, deduplicated and sorted
+    by embedding, then by a and b."""
+    powers = [c ** (2 ** n) for n in range(0, n_bound + 1)]
+    values = set()
+    for pw in powers:
+        scaled = pw * m1
+        for i in range(-k_bound, k_bound + 1):
+            if ring.is_rational:
+                values.add(scaled * i)
+                continue
+            base = scaled * i
+            for j in range(-k_bound, k_bound + 1):
+                values.add(base + scaled * ring.omega * j)
+    return sorted(values, key=delta_c_sort_key)

@@ -267,13 +267,12 @@ def test_criterion_4b_clustering_contrast():
     cell = (FIVE_SCALE_CELL, 0)
 
     integral_vals = delta_c_set(q(2), zz, k_stated, n_bound)
-    integral_max = cluster_counts([v.embed() for v in integral_vals]).max_count
+    integral_max = cluster_counts(integral_vals.embedded).max_count
 
     stated_vals = delta_c_set(c, zz, k_stated, n_bound)
-    stated_max = cluster_counts([v.embed() for v in stated_vals]).max_count
+    stated_max = cluster_counts(stated_vals.embedded).max_count
 
-    five_grid = cluster_counts(
-        [v.embed() for v in delta_c_set(c, zz, k_five, n_bound)])
+    five_grid = cluster_counts(delta_c_set(c, zz, k_five, n_bound).embedded)
     crowded = sorted(m for m, cnt in five_grid.counts.items() if cnt >= 5)
 
     # companion: the five exact values in the cell, one per scale

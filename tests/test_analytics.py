@@ -13,6 +13,8 @@ from tracelab import (FieldDesc, PreconditionError, QQ, QuadElem,
                       rn_two_to_one_check, theta_map, totient_sum_check,
                       totients, trace_set)
 
+from conftest import delta_c_reference
+
 FI = FieldDesc(-1)
 
 
@@ -37,6 +39,12 @@ class TestCluster:
         assert grid.counts[(1, 0)] == 1
         assert grid.counts[(0, 0)] == 1
         assert grid.counts[(2, 0)] == 1
+
+    @pytest.mark.parametrize("point", [math.inf, -math.inf, math.nan,
+                                       complex(0, math.inf), complex(math.nan, 0)])
+    def test_non_finite_point_is_a_precondition(self, point):
+        with pytest.raises(PreconditionError, match="finite points"):
+            cluster_counts([0.5, point])
 
     def test_integer_traces_one_per_cell(self):
         ts = trace_set(enumerate_ball(catalog("psl2z"), 6))
@@ -200,7 +208,7 @@ class TestCountingSets:
 class TestDeltaCSet:
     def test_integral_c_stays_integral(self):
         zz = RingOfIntegers.integers()
-        vals = delta_c_set(q(2), zz, 3, 2)
+        vals = delta_c_set(q(2), zz, 3, 2).values()
         assert set(vals) == {q(k * 2 ** (2 ** n)) for k in range(-3, 4)
                              for n in range(0, 3)}
         for v in vals:
@@ -208,7 +216,7 @@ class TestDeltaCSet:
 
     def test_three_halves_powers_present(self):
         zz = RingOfIntegers.integers()
-        vals = set(delta_c_set(q(Fraction(3, 2)), zz, 2, 2))
+        vals = set(delta_c_set(q(Fraction(3, 2)), zz, 2, 2).values())
         assert q(Fraction(9, 4)) in vals
         assert q(Fraction(81, 16)) in vals
 
@@ -222,6 +230,29 @@ class TestDeltaCSet:
     def test_bounds_required(self):
         with pytest.raises(PreconditionError):
             delta_c_set(q(2), RingOfIntegers.integers(), 0, 2)
+
+    @pytest.mark.parametrize("m1", [0, -3])
+    def test_m1_below_one_rejected(self, m1):
+        with pytest.raises(PreconditionError, match="m1 >= 1"):
+            delta_c_set(q(Fraction(3, 2)), RingOfIntegers.integers(), 3, 1, m1)
+
+    @pytest.mark.parametrize("d", [None, -1, 5])
+    def test_equal_embeddings_order_by_exact_value(self, d):
+        # c = 1 + 10^-20 (1 + sqrt(d)): each k*c^(2^n) rounds to the float
+        # of k (+ k*sqrt(d)), so the exact a, b decide the order
+        field = QQ if d is None else FieldDesc(d)
+        ring = RingOfIntegers.integers() if d is None else ring_of_integers(field)
+        tiny = Fraction(1, 10 ** 20)
+        c = q(1 + tiny, 0 if d is None else tiny, field)
+        dset = delta_c_set(c, ring, 2, 2)
+        assert len(set(dset.embedded)) < len(dset)
+        assert dset.values() == delta_c_reference(c, ring, 2, 2)
+
+    def test_rational_lattice_keeps_the_field_of_c(self):
+        c = q(1, 1, FI)
+        dset = delta_c_set(c, RingOfIntegers.integers(), 2, 1)
+        assert dset.values() == delta_c_reference(c, RingOfIntegers.integers(), 2, 1)
+        assert {v.field for v in dset.values()} == {FI}
 
 
 WITNESS_CASES = [

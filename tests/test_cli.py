@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -188,10 +189,13 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
         assert needle in err
 
-    @pytest.mark.parametrize("m1", ["0", "-5"])
-    def test_witness_m1_below_one_is_4(self, capsys, m1):
+    @pytest.mark.parametrize("m1, path", [
+        ("0", ["--witness", "2"]), ("-5", ["--witness", "2"]),
+        ("0", ["--k-bound", "3", "--n-bound", "1"]), ("-5", []),
+    ], ids=["0", "-5", "0-set", "-5-set"])
+    def test_witness_m1_below_one_is_4(self, capsys, m1, path):
         code, out, err = run_cli(["delta-c", "--c", "3/2", "--ring", "Z",
-                                  "--witness", "2", "--m1", m1], capsys)
+                                  *path, "--m1", m1], capsys)
         assert code == 4 and out == ""
         assert "m1 >= 1" in err
 
@@ -265,6 +269,19 @@ class TestStrictJson:
         assert code == 2 and out == ""
         assert "finite" in err
 
+    def test_trace_beyond_float_range_is_null(self, capsys, tmp_path):
+        n = "1" + "0" * 200
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"name": "big", "field_d": None,
+                                    "generators": [f"[1,{n};0,1]", f"[1,0;{n},1]"]}))
+        code, out, _ = run_cli(["traces", "--spec-file", str(path), "--radius", "2",
+                                "--format", "json"], capsys)
+        assert code == 0
+        traces = {t["value"]: t for t in strict_json(out)["traces"]}
+        big = traces["1" + "0" * 399 + "2"]  # N^2 + 2, the trace of [1,N;0,1][1,0;N,1]
+        assert big["re"] is None and big["im"] == 0.0
+        assert traces["2"]["re"] == 2.0
+
 
 class TestLargeWitnessOutput:
     def test_witness_points_beyond_float_range(self, capsys):
@@ -289,6 +306,24 @@ class TestValuesBeyondLimits:
         assert code == 0, err
         values = {parse_quadelem(line.split(",")[0]) for line in out.splitlines()[1:]}
         assert values == {k * c for k in (-1, 0, 1)} | {k * c * c for k in (-1, 1)}
+
+    @pytest.mark.parametrize("n_bound", ["20", "40"])
+    def test_power_beyond_float_range_is_4_at_once(self, capsys, n_bound):
+        # (3/2)^(2^20) has about 300,000 digits; the exit must not wait for it
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["delta-c", "--c", "3/2", "--ring", "Z",
+                                  "--k-bound", "1", "--n-bound", n_bound], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 4 and out == ""
+        assert "finite points" in err
+
+    def test_embedding_nan_is_4(self, capsys):
+        # both coefficients of c^(2^11) overflow a float with opposite signs,
+        # so the embedding is inf - inf, though |c^(2^11)| is tiny
+        code, out, err = run_cli(["delta-c", "--c=-1/2+1/2*sqrt(5)", "--ring", "5",
+                                  "--k-bound", "1", "--n-bound", "11"], capsys)
+        assert code == 4 and out == ""
+        assert "finite points" in err
 
     def test_cluster_beyond_float_range_is_4(self, capsys):
         code, out, err = run_cli(["delta-c", "--c", "1" + "0" * 5000 + "/7", "--ring", "Z",

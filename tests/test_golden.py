@@ -22,7 +22,19 @@ from test_acceptance import CLI_COMMANDS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-CASES = [(argv, fmt) for argv in CLI_COMMANDS for fmt in ("json", "csv", "data")]
+# the Delta_c set path over rings other than Z: Z[i], Z[(1+sqrt(-3))/2] with
+# M1 = 2, and the real ring Z[(1+sqrt(5))/2]
+DELTA_C_SET_COMMANDS = [
+    ["delta-c", "--c", "3/2+1/2*sqrt(-1)", "--ring", "-1",
+     "--k-bound", "3", "--n-bound", "2"],
+    ["delta-c", "--c", "2/3+1/2*sqrt(-3)", "--ring", "-3",
+     "--k-bound", "3", "--n-bound", "2", "--m1", "2"],
+    ["delta-c", "--c", "1/2+1/3*sqrt(5)", "--ring", "5",
+     "--k-bound", "3", "--n-bound", "2"],
+]
+
+CASES = [(argv, fmt) for argv in CLI_COMMANDS + DELTA_C_SET_COMMANDS
+         for fmt in ("json", "csv", "data")]
 CASES += [(["enumerate", "--group", name, "--radius", "6"], "json")
           for name in catalog_names()]
 CASES += [(["traces", "--group", name, "--radius", "6"], "csv")

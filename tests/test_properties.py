@@ -2,22 +2,27 @@
 interpreter's 4300-digit int <-> str limit), determinant and sign
 invariants of products, agreement of the integer-coordinate ProjMat with
 the Mat2 path, and invariance of the trace set under the choice of
-generators, and the shared embedded-sign rule against a high-precision
-evaluation."""
+generators, the shared embedded-sign rule against a high-precision
+evaluation, delta_c_set against the QuadElem reference path, and the early
+float-range exit of `delta-c` against the exact path."""
 
 import math
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from tracelab import (QQ, FieldDesc, GroupSpec, Mat2, ProjMat, QuadElem,
-                      canonical_trace, enumerate_ball, format_mat2,
-                      format_quadelem, parse_mat2, parse_quadelem, trace_set)
+from tracelab import (QQ, FieldDesc, GroupSpec, Mat2, PreconditionError, ProjMat,
+                      QuadElem, RingOfIntegers, canonical_trace, cluster_counts,
+                      delta_c_set, enumerate_ball, format_mat2, format_quadelem,
+                      parse_mat2, parse_quadelem, ring_of_integers, trace_set)
+from tracelab.cli import _beyond_float_range
 from tracelab.groups import group_spec_from_dict
 from tracelab.qfield import embedded_sign
 
-from conftest import mat2_canonical, mat2_is_identity, mat2_least_traces
+from conftest import (delta_c_reference, mat2_canonical, mat2_is_identity,
+                      mat2_least_traces)
 
 FIELDS = (QQ, FieldDesc(-1), FieldDesc(-3), FieldDesc(2), FieldDesc(5))
 CHEAP = settings(max_examples=30, deadline=None, database=None)
@@ -155,3 +160,50 @@ def test_embedded_sign_matches_high_precision_value(drawn):
         re, im = (a_mp + b_mp * root, 0) if d > 0 else (a_mp, b_mp * root)
         expected = _mp_sign(re) or _mp_sign(im)
     assert embedded_sign(a, b, d) == expected
+
+
+DELTA_C_DS = (None, -1, -2, -3, -7, -11, 2, 5, 13)
+delta_c_coefs = st.builds(Fraction, st.just(0) | st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def delta_c_inputs(draw):
+    """(c, ring, k_bound, n_bound, m1) with c's coefficients of denominator
+    1 to 6, zero drawn often."""
+    d = draw(st.sampled_from(DELTA_C_DS))
+    field = FieldDesc(d)
+    ring = RingOfIntegers.integers() if d is None else ring_of_integers(field)
+    c = QuadElem.of(draw(delta_c_coefs), 0 if d is None else draw(delta_c_coefs), field)
+    return (c, ring, draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+            draw(st.sampled_from((1, 2, 3))))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(delta_c_inputs())
+def test_delta_c_set_agrees_with_quadelem_path(drawn):
+    c, ring, k_bound, n_bound, m1 = drawn
+    expected = delta_c_reference(c, ring, k_bound, n_bound, m1)
+    dset = delta_c_set(c, ring, k_bound, n_bound, m1)
+    assert len(dset) == len(expected)
+    assert dset.values() == expected
+    assert list(dset.embedded) == [v.embed() for v in expected]
+    assert [dset.ring.format_coords(*x) for x in dset.coords] == [
+        format_quadelem(v) for v in expected]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(delta_c_inputs(), st.integers(0, 1020).map(lambda e: 2 ** e + 1))
+def test_early_float_range_exit_only_where_exact_path_exits(drawn, big_m1):
+    # at the least n_bound where the estimate fires, the exact embeddings
+    # must already leave float range (or be NaN); M1 up to 2^1022 moves
+    # that point across the whole range of magnitudes
+    c, ring, k_bound, _, m1 = drawn
+    k_bound, m1 = min(k_bound, 2), m1 * big_m1
+    n_bound = next((n for n in range(1, 16)
+                    if _beyond_float_range(c, k_bound, n, m1)), None)
+    if n_bound is None:
+        assert abs(c.embed()) < 1.03  # 2^15 * log2(1.03) > 1030
+        return
+    dset = delta_c_set(c, ring, k_bound, n_bound, m1)
+    with pytest.raises(PreconditionError, match="finite points"):
+        cluster_counts(dset.embedded)

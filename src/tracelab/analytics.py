@@ -4,16 +4,19 @@ the constructive clustering-failure witness for non-integral c."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 import mpmath
 
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 from .qfield import (QuadElem, RingOfIntegers, bezout_bounded, gcd_ring,
                      m2_constant, prime_power_factor, ring_of_integers)
 
@@ -176,25 +179,22 @@ def totients(n: int) -> list[int]:
 
 def rn_set(n: int) -> CountingSet:
     """Tuples (r1, r2, r3, r4) with 1 <= r2 <= r1 <= N, (r1, r2) = 1,
-    1 <= r4 <= r3 <= N/r1, (r3, r4) = 1; size cross-checked against the
-    totient double-sum formula."""
+    1 <= r4 <= r3 <= N/r1, (r3, r4) = 1, in lexicographic order; size
+    cross-checked against the totient double-sum formula."""
     if n < 1:
         raise PreconditionError("rn_set requires N >= 1")
-    tuples = []
-    for r1 in range(1, n + 1):
-        for r2 in range(1, r1 + 1):
-            if math.gcd(r1, r2) != 1:
-                continue
-            for r3 in range(1, n // r1 + 1):
-                for r4 in range(1, r3 + 1):
-                    if math.gcd(r3, r4) == 1:
-                        tuples.append((r1, r2, r3, r4))
+    # the coprime pairs (r, s), 1 <= s <= r <= N, in lexicographic order;
+    # both halves of a tuple are such pairs, the second with r <= N/r1
+    gcd = math.gcd
+    pairs = [(r, s) for r in range(1, n + 1) for s in range(1, r + 1) if gcd(r, s) == 1]
+    upto = [bisect.bisect_left(pairs, (m + 1,)) for m in range(n + 1)]  # r <= m
+    tuples = tuple([a + b for a in pairs for b in pairs[:upto[n // a[0]]]])
     phi = totients(n)
     formula = sum(phi[i] * sum(phi[j] for j in range(1, n // i + 1))
                   for i in range(1, n + 1))
     if len(tuples) != formula:
         raise AssertionError(f"|R_N| = {len(tuples)} != totient formula {formula}")
-    return CountingSet("R_N", n, tuple(tuples))
+    return CountingSet("R_N", n, tuples)
 
 
 def f_map(m: int, n: int, mp: int, np: int) -> tuple:
@@ -226,16 +226,23 @@ def rn_two_to_one_check(n: int, max_n: int = 400) -> TwoToOneReport:
     in singleton fibers."""
     if n > max_n:
         raise PreconditionError(f"rn_two_to_one_check is exhaustive only up to N={max_n}")
-    rn = rn_set(n)
-    fibers: dict[tuple, list[tuple]] = {}
-    for u in rn.tuples:
-        fibers.setdefault(f_map(*u), []).append(u)
-    max_size = max((len(v) for v in fibers.values()), default=0)
-    swap_ok = all(v[1] == (v[0][2], v[0][3], v[0][0], v[0][1])
-                  for v in fibers.values() if len(v) == 2)
-    diagonal_ok = all(len(v) == 1 for v in fibers.values()
-                      if any(u[:2] == u[2:] for u in v))
-    return TwoToOneReport(n, rn.size, len(fibers), max_size, swap_ok, diagonal_ok)
+    tuples = rn_set(n).tuples
+    # every coordinate of f(u) lies in [0, 2N]: one int in base 2N + 1 keys it
+    base = 2 * n + 1
+    images = [(r2 * r4 * base + r2 * r3 + r1 * r4) * base + r1 * r3
+              for r1, r2, r3, r4 in tuples]
+    sizes = Counter(images)
+    # a size-2 fiber is its (first, last) pair: last must be first swapped
+    first = dict(zip(reversed(images), reversed(tuples)))
+    last = dict(zip(images, tuples))
+    swap_ok = all(last[y] == (u[2], u[3], u[0], u[1])
+                  for y, u in first.items() if sizes[y] == 2)
+    head, tail = operator.itemgetter(0, 1), operator.itemgetter(2, 3)
+    diagonal = itertools.compress(images, map(operator.eq, map(head, tuples),
+                                              map(tail, tuples)))
+    diagonal_ok = all(sizes[y] == 1 for y in diagonal)
+    return TwoToOneReport(n, len(tuples), len(sizes), max(sizes.values()),
+                          swap_ok, diagonal_ok)
 
 
 @dataclass(frozen=True)
@@ -287,11 +294,21 @@ class DeltaCSet:
                 for x0, x1, den in self.coords]
 
 
+# delta_c_set squares c^(2^e) only while its coordinates have at most half
+# this many bits; at 2^18 the whole chain of squarings and gcds takes
+# about 0.1 s
+POWER_BIT_BUDGET = 2 ** 18
+
+
 def delta_c_set(c: QuadElem, ring: RingOfIntegers, k_bound: int, n_bound: int,
                 m1: int = 1) -> DeltaCSet:
     """Exact truncation {m1 * x * c^(2^n)} over lattice x with coordinates of
     absolute value <= k_bound and 0 <= n <= n_bound, deduplicated and
-    sorted by embedding, ties broken by the exact value."""
+    sorted by embedding, ties broken by the exact value.
+
+    Raises BudgetExceededError instead of squaring a power with a
+    coordinate (numerator or denominator) of more than POWER_BIT_BUDGET / 2
+    bits, whose square would pass the budget."""
     if k_bound < 1 or n_bound < 1:
         raise PreconditionError("delta_c_set requires positive bounds")
     if m1 < 1:
@@ -300,16 +317,21 @@ def delta_c_set(c: QuadElem, ring: RingOfIntegers, k_bound: int, n_bound: int,
     basis = (ring_of_integers(c.field) if ring.is_rational and not c.field.is_rational
              else ring)
     t, n = basis.t, basis.n
-    p0, p1, q = basis.coords(c)
+    gcd = math.gcd
+    powers = [basis.coords(c)]
+    for e in range(1, n_bound + 1):  # c^(2^e) is the square of c^(2^(e-1))
+        p0, p1, q = powers[-1]
+        if 2 * max(p0.bit_length(), p1.bit_length(), q.bit_length()) > POWER_BIT_BUDGET:
+            raise BudgetExceededError(
+                f"c^(2^{e}) would pass the {POWER_BIT_BUDGET}-bit budget "
+                "of an exact Delta_c power")
+        p0, p1, q = p0 * p0 - n * p1 * p1, 2 * p0 * p1 + t * p1 * p1, q * q
+        g = gcd(p0, p1, q)
+        powers.append((p0 // g, p1 // g, q // g))
     ks = range(-k_bound, k_bound + 1)
     js = (0,) if ring.is_rational else ks
-    gcd = math.gcd
     values: set[tuple[int, int, int]] = set()
-    for e in range(n_bound + 1):
-        if e:  # c^(2^e) is the square of c^(2^(e-1))
-            p0, p1, q = p0 * p0 - n * p1 * p1, 2 * p0 * p1 + t * p1 * p1, q * q
-            g = gcd(p0, p1, q)
-            p0, p1, q = p0 // g, p1 // g, q // g
+    for p0, p1, q in powers:
         # m1*(i + j*omega)*(p0 + p1*omega)/q with omega^2 = t*omega - n
         u0, v0, u1, v1 = m1 * p0, m1 * n * p1, m1 * p1, m1 * (p0 + t * p1)
         for i in ks:
@@ -488,18 +510,38 @@ def delta_c_cluster_witness(c: QuadElem, ring: RingOfIntegers, n: int,
 def kronecker_gap_demo(theta1: float, theta2: float, k_max: int,
                        delta: float = 0.0) -> list[tuple[int, float]]:
     """Running minimum over |k*theta1 - l*theta2 - delta| for k, l in
-    [-K, K]^2, (k, l) != (0, 0), reported as the envelope K -> min."""
+    [-K, K]^2, (k, l) != (0, 0), reported as the envelope K -> min.
+
+    On each edge of the shell max(|k|, |l|) = K one index is fixed, and the
+    float value is monotone in the other, since rounding to nearest is
+    monotone; its least |.| therefore sits at the sign change, which
+    bisection finds in O(log K) evaluations of the same expression. An edge
+    whose fixed product is not finite yields only inf or NaN, which the
+    minimum never takes, and so does every edge when an input is not finite."""
     if k_max < 1:
         raise PreconditionError("kronecker_gap_demo requires K >= 1")
-    best = float("inf")
+    if not all(map(math.isfinite, (theta1, theta2, delta))):
+        return [(k_cur, math.inf) for k_cur in range(1, k_max + 1)]
+    best = math.inf
     envelope = []
     for k_cur in range(1, k_max + 1):
         # pairs with max(|k|, |l|) == k_cur; (0, 0) is never visited
-        for k in range(-k_cur, k_cur + 1):
-            for l in (-k_cur, k_cur):
-                best = min(best, abs(k * theta1 - l * theta2 - delta))
-        for l in range(-k_cur + 1, k_cur):
-            for k in (-k_cur, k_cur):
-                best = min(best, abs(k * theta1 - l * theta2 - delta))
+        for l in (-k_cur, k_cur):
+            if math.isfinite(l * theta2):
+                best = min(best, _least_abs(lambda k: k * theta1 - l * theta2 - delta,
+                                            -k_cur, k_cur))
+        for k in (-k_cur, k_cur):
+            if math.isfinite(k * theta1):
+                best = min(best, _least_abs(lambda l: k * theta1 - l * theta2 - delta,
+                                            1 - k_cur, k_cur - 1))
         envelope.append((k_cur, best))
     return envelope
+
+
+def _least_abs(value, lo: int, hi: int) -> float:
+    """min |value(i)| over lo <= i <= hi, for a value monotone in i and
+    never NaN: the least |.| is at the first i past the sign change or just
+    before it."""
+    sign = 1.0 if value(lo) <= value(hi) else -1.0
+    i = lo + bisect.bisect_left(range(lo, hi + 1), 0.0, key=lambda j: sign * value(j))
+    return min(abs(value(j)) for j in (i - 1, i) if lo <= j <= hi)

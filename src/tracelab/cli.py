@@ -11,7 +11,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__
 from .analytics import (cluster_counts, delta_c_cluster_witness, delta_c_set,
@@ -47,6 +47,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, not {text!r}")
+    return value
+
+
 def _budget_default() -> int:
     raw = os.environ.get(BUDGET_ENV)
     try:
@@ -68,10 +79,14 @@ def _ring_from_flag(text: str) -> RingOfIntegers:
     return ring_of_integers(FieldDesc(int(text)))
 
 
-class Report:
-    """One deterministic result: a JSON object plus CSV/data projections."""
+Rows = Callable[[], Iterable[Sequence]]
 
-    def __init__(self, payload: dict, csv_rows: list[list], data_rows: list[list]):
+
+class Report:
+    """One deterministic result: a JSON object, and the CSV and data tables
+    as zero-argument builders, so that a format builds only what it prints."""
+
+    def __init__(self, payload: dict, csv_rows: Rows, data_rows: Rows):
         self.payload = payload
         self.csv_rows = csv_rows
         self.data_rows = data_rows
@@ -82,14 +97,9 @@ class Report:
             return json.dumps(obj, indent=2, sort_keys=True) + "\n"
         if fmt == "csv":
             buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            for row in self.csv_rows:
-                writer.writerow(row)
+            csv.writer(buf, lineterminator="\n").writerows(self.csv_rows())
             return buf.getvalue()
-        buf2 = io.StringIO()
-        for row in self.data_rows:
-            buf2.write(" ".join(str(cell) for cell in row) + "\n")
-        return buf2.getvalue()
+        return "".join(" ".join(map(str, row)) + "\n" for row in self.data_rows())
 
 
 def _emit(report: Report, args) -> None:
@@ -124,8 +134,8 @@ def cmd_enumerate(args) -> Report:
         "complete": ball.complete,
         "per_radius": [{"radius": r, "cumulative": c} for r, c in per_radius],
     }
-    csv_rows = [["radius", "cumulative_size"]] + [[r, c] for r, c in per_radius]
-    return Report(payload, csv_rows, [[r, c] for r, c in per_radius])
+    return Report(payload, lambda: [["radius", "cumulative_size"], *per_radius],
+                  lambda: per_radius)
 
 
 def cmd_traces(args) -> Report:
@@ -143,8 +153,8 @@ def cmd_traces(args) -> Report:
                     "im": _json_number(float(r[2])), "word_length": r[3]}
                    for r in rows],
     }
-    return Report(payload, [["trace", "re", "im", "word_length"]] + rows,
-                  [[r[1], r[2]] for r in rows])
+    return Report(payload, lambda: [["trace", "re", "im", "word_length"], *rows],
+                  lambda: (r[1:3] for r in rows))
 
 
 def cmd_cluster(args) -> Report:
@@ -166,12 +176,10 @@ def cmd_cluster(args) -> Report:
         "gap": gap_val,
         "growth_slope": _json_number(slope),
     }
-    csv_rows = [["cell", "m", "n", "count"]]
-    data_rows = []
-    for idx, ((m, n), cnt) in enumerate(cells):
-        csv_rows.append([idx, m, n, cnt])
-        data_rows.append([m, n, cnt])
-    return Report(payload, csv_rows, data_rows)
+    return Report(payload,
+                  lambda: [["cell", "m", "n", "count"],
+                           *([idx, m, n, cnt] for idx, ((m, n), cnt) in enumerate(cells))],
+                  lambda: ([m, n, cnt] for (m, n), cnt in cells))
 
 
 def cmd_gap(args) -> Report:
@@ -181,8 +189,8 @@ def cmd_gap(args) -> Report:
     val = gap(ts.embedded)
     payload = {"command": "gap", "group": spec.name, "radius": ball.radius,
                "n_traces": ts.size, "gap": val}
-    return Report(payload, [["radius", "gap"], [ball.radius, _dec(val)]],
-                  [[ball.radius, _dec(val)]])
+    row = [ball.radius, _dec(val)]
+    return Report(payload, lambda: [["radius", "gap"], row], lambda: [row])
 
 
 def cmd_growth(args) -> Report:
@@ -196,8 +204,7 @@ def cmd_growth(args) -> Report:
         "counts": [{"n": n, "count": c} for n, c in counts],
         "slope": _json_number(slope),
     }
-    rows = [[n, c] for n, c in counts]
-    return Report(payload, [["n", "count"]] + rows, rows)
+    return Report(payload, lambda: [["n", "count"], *counts], lambda: counts)
 
 
 def cmd_arith_check(args) -> Report:
@@ -207,7 +214,6 @@ def cmd_arith_check(args) -> Report:
     payload = {"command": "arith-check", "group": spec.name,
                "expected_class": spec.expected_class, **report.to_dict()}
     growth = report.conjugate_growth
-    rows = [[s, _dec(m)] for s, m in zip(growth.shells, growth.maxima)]
     csv_rows = [["key", "value"],
                 ["radius", report.radius],
                 ["trace_field_d", report.trace_field_d],
@@ -215,7 +221,8 @@ def cmd_arith_check(args) -> Report:
                 ["verdict", report.verdict],
                 ["conjugate_flag", growth.flag],
                 ["elementary", report.elementary]]
-    return Report(payload, csv_rows, rows)
+    return Report(payload, lambda: csv_rows,
+                  lambda: ([s, _dec(m)] for s, m in zip(growth.shells, growth.maxima)))
 
 
 # |z| above 2^1026 has no finite embedding, whatever rounding the float
@@ -259,15 +266,12 @@ def cmd_delta_c(args) -> Report:
             "points": [r[0] for r in rows],
             "max_deviation": wit.max_deviation(),
         }
-        return Report(payload, [["point", "re", "im"]] + rows,
-                      [[r[1], r[2]] for r in rows])
+        return Report(payload, lambda: [["point", "re", "im"], *rows],
+                      lambda: (r[1:] for r in rows))
     if _beyond_float_range(c, args.k_bound, args.n_bound, args.m1):
         raise PreconditionError("cluster_counts requires finite points")
     dset = delta_c_set(c, ring, args.k_bound, args.n_bound, m1=args.m1)
     grid = cluster_counts(dset.embedded)
-    text = dset.ring.format_coords
-    rows = [[text(*x), _dec(z.real), _dec(z.imag)]
-            for x, z in zip(dset.coords, map(complex, dset.embedded))]
     payload = {
         "command": "delta-c",
         "c": format_quadelem(c),
@@ -278,8 +282,18 @@ def cmd_delta_c(args) -> Report:
         "max_count": grid.max_count,
         "cells_touched": grid.cells_touched,
     }
-    return Report(payload, [["value", "re", "im"]] + rows,
-                  [[r[1], r[2]] for r in rows])
+
+    def csv_rows():
+        text = dset.ring.format_coords
+        yield ["value", "re", "im"]
+        for x, z in zip(dset.coords, map(complex, dset.embedded)):
+            yield [text(*x), _dec(z.real), _dec(z.imag)]
+
+    def data_rows():
+        for z in map(complex, dset.embedded):
+            yield [_dec(z.real), _dec(z.imag)]
+
+    return Report(payload, csv_rows, data_rows)
 
 
 def cmd_counting(args) -> Report:
@@ -288,14 +302,13 @@ def cmd_counting(args) -> Report:
         ds = dn_set(n)
         payload = {"command": "counting", "kind": "dn", "N": n, "size": ds.size,
                    "lower_bound": n * math.log(n) - n}
-        rows = [[k, l] for k, l in ds.tuples]
-        return Report(payload, [["k", "l"]] + rows, rows)
+        return Report(payload, lambda: [["k", "l"], *ds.tuples], lambda: ds.tuples)
     if args.kind == "rn":
         rs = rn_set(n)  # rn_set checks its size against the totient formula
         payload = {"command": "counting", "kind": "rn", "N": n, "size": rs.size,
                    "totient_formula": rs.size, "ratio_n2": rs.size / (n * n)}
-        rows = [list(t) for t in rs.tuples]
-        return Report(payload, [["r1", "r2", "r3", "r4"]] + rows, rows)
+        return Report(payload, lambda: [["r1", "r2", "r3", "r4"], *rs.tuples],
+                      lambda: rs.tuples)
     if args.kind == "two-to-one":
         rep = rn_two_to_one_check(n)
         payload = {"command": "counting", "kind": "two-to-one", "N": n,
@@ -305,7 +318,7 @@ def cmd_counting(args) -> Report:
                    "diagonal_ok": rep.diagonal_ok, "ok": rep.ok}
         rows = [["n_tuples", rep.n_tuples], ["n_fibers", rep.n_fibers],
                 ["max_fiber_size", rep.max_fiber_size], ["ok", rep.ok]]
-        return Report(payload, [["key", "value"]] + rows, rows)
+        return Report(payload, lambda: [["key", "value"], *rows], lambda: rows)
     rep = totient_sum_check(n)
     payload = {"command": "counting", "kind": "totient", "N": n,
                "sum_phi": rep.sum_phi,
@@ -315,7 +328,7 @@ def cmd_counting(args) -> Report:
     rows = [["sum_phi", rep.sum_phi],
             ["ratio", _dec(rep.ratio_to_asymptotic)],
             ["pointwise_ok", rep.pointwise_ok]]
-    return Report(payload, [["key", "value"]] + rows, rows)
+    return Report(payload, lambda: [["key", "value"], *rows], lambda: rows)
 
 
 def cmd_kronecker(args) -> Report:
@@ -326,8 +339,11 @@ def cmd_kronecker(args) -> Report:
         "final_min": env[-1][1],
         "envelope": [{"K": k, "min": m} for k, m in env],
     }
-    rows = [[k, _dec(m)] for k, m in env]
-    return Report(payload, [["K", "min"]] + rows, rows)
+
+    def rows():
+        return ([k, _dec(m)] for k, m in env)
+
+    return Report(payload, lambda: [["K", "min"], *rows()], rows)
 
 
 def cmd_corollary(args) -> Report:
@@ -346,7 +362,7 @@ def cmd_corollary(args) -> Report:
     rows = [["closed", rep.closed], ["has_two", rep.has_two],
             ["has_four", rep.has_four], ["identities_ok", rep.identities_ok],
             ["pairs_checked", rep.pairs_checked]]
-    return Report(payload, [["key", "value"]] + rows, rows)
+    return Report(payload, lambda: [["key", "value"], *rows], lambda: rows)
 
 
 # -- argument parsing --------------------------------------------------------
@@ -390,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("growth", cmd_growth, group=True)
     p.add_argument("--max-n", type=int, default=20)
     p = add("arith-check", cmd_arith_check, group=True)
-    p.add_argument("--pair-budget", type=int, default=90_000)
+    p.add_argument("--pair-budget", type=_non_negative_int, default=90_000)
     p = add("delta-c", cmd_delta_c)
     p.add_argument("--c", required=True, help="the base value, e.g. 3/2")
     p.add_argument("--ring", required=True,

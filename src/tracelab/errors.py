@@ -19,9 +19,11 @@ class UnsupportedRingError(PreconditionError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Enumeration hit its element budget.
+    """A computation hit its budget: enumeration its element budget, or
+    delta_c_set the bit budget of its exact powers.
 
-    Carries the partial result truncated to the last fully completed radius.
+    From enumeration it carries the partial result truncated to the last
+    fully completed radius.
     """
 
     def __init__(self, message: str, partial=None):

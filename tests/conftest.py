@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -90,3 +91,47 @@ def delta_c_reference(c: QuadElem, ring, k_bound: int, n_bound: int,
             for j in range(-k_bound, k_bound + 1):
                 values.add(base + scaled * ring.omega * j)
     return sorted(values, key=delta_c_sort_key)
+
+
+# -- the exhaustive loops: the reference for kronecker_gap_demo, rn_set and
+# -- rn_two_to_one_check ---------------------------------------------------
+
+def kronecker_reference(theta1: float, theta2: float, k_max: int,
+                        delta: float = 0.0) -> list:
+    """The envelope K -> min |k*theta1 - l*theta2 - delta| over every pair of
+    each shell max(|k|, |l|) = K, 1 <= K <= k_max."""
+    best = float("inf")
+    envelope = []
+    for k_cur in range(1, k_max + 1):
+        for k in range(-k_cur, k_cur + 1):
+            for l in (-k_cur, k_cur):
+                best = min(best, abs(k * theta1 - l * theta2 - delta))
+        for l in range(-k_cur + 1, k_cur):
+            for k in (-k_cur, k_cur):
+                best = min(best, abs(k * theta1 - l * theta2 - delta))
+        envelope.append((k_cur, best))
+    return envelope
+
+
+def rn_reference(n: int) -> tuple:
+    """R_N in lexicographic order, with a gcd call per candidate pair."""
+    return tuple((r1, r2, r3, r4)
+                 for r1 in range(1, n + 1) for r2 in range(1, r1 + 1)
+                 if math.gcd(r1, r2) == 1
+                 for r3 in range(1, n // r1 + 1) for r4 in range(1, r3 + 1)
+                 if math.gcd(r3, r4) == 1)
+
+
+def two_to_one_reference(n: int):
+    """TwoToOneReport from fibers keyed by the image tuple f(u)."""
+    from tracelab.analytics import TwoToOneReport, f_map
+    tuples = rn_reference(n)
+    fibers: dict = {}
+    for u in tuples:
+        fibers.setdefault(f_map(*u), []).append(u)
+    max_size = max((len(v) for v in fibers.values()), default=0)
+    swap_ok = all(v[1] == (v[0][2], v[0][3], v[0][0], v[0][1])
+                  for v in fibers.values() if len(v) == 2)
+    diagonal_ok = all(len(v) == 1 for v in fibers.values()
+                      if any(u[:2] == u[2:] for u in v))
+    return TwoToOneReport(n, len(tuples), len(fibers), max_size, swap_ok, diagonal_ok)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from tracelab import (FieldDesc, PreconditionError, QQ, QuadElem,
+from tracelab import (BudgetExceededError, FieldDesc, PreconditionError, QQ, QuadElem,
                       RingOfIntegers, catalog, cluster_counts,
                       delta_c_cluster_witness, delta_c_set, dn_set,
                       enumerate_ball, f_map, g_map, gap, growth_count,
@@ -13,7 +13,9 @@ from tracelab import (FieldDesc, PreconditionError, QQ, QuadElem,
                       rn_two_to_one_check, theta_map, totient_sum_check,
                       totients, trace_set)
 
-from conftest import delta_c_reference
+from tracelab.analytics import POWER_BIT_BUDGET
+
+from conftest import delta_c_reference, rn_reference, two_to_one_reference
 
 FI = FieldDesc(-1)
 
@@ -188,6 +190,11 @@ class TestCountingSets:
         with pytest.raises(PreconditionError):
             rn_two_to_one_check(401)
 
+    @pytest.mark.parametrize("n", [*range(1, 81), 400])
+    def test_rn_and_two_to_one_match_the_exhaustive_loops(self, n):
+        assert rn_set(n).tuples == rn_reference(n)
+        assert rn_two_to_one_check(n) == two_to_one_reference(n)
+
     def test_totient_sum(self):
         rep = totient_sum_check(10)
         assert rep.sum_phi == 32
@@ -247,6 +254,16 @@ class TestDeltaCSet:
         dset = delta_c_set(c, ring, 2, 2)
         assert len(set(dset.embedded)) < len(dset)
         assert dset.values() == delta_c_reference(c, ring, 2, 2)
+
+    def test_power_bit_budget(self):
+        # (1/2)^(2^17) has a 131,073-bit denominator; its square would pass
+        # the 2^18-bit budget, and the power is refused before it is formed
+        assert POWER_BIT_BUDGET == 2 ** 18
+        zz, half = RingOfIntegers.integers(), q(Fraction(1, 2))
+        dset = delta_c_set(half, zz, 1, 17)
+        assert max(den for _, _, den in dset.coords) == 2 ** (2 ** 17)
+        with pytest.raises(BudgetExceededError, match=r"c\^\(2\^18\)"):
+            delta_c_set(half, zz, 1, 18)
 
     def test_rational_lattice_keeps_the_field_of_c(self):
         c = q(1, 1, FI)

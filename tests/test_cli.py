@@ -199,6 +199,13 @@ class TestExitCodes:
         assert code == 4 and out == ""
         assert "m1 >= 1" in err
 
+    @pytest.mark.parametrize("budget", ["-1", "-5", "-90000"])
+    def test_negative_pair_budget_is_2(self, capsys, budget):
+        code, out, err = run_cli(["arith-check", "--group", "psl2z", "--radius", "2",
+                                  "--pair-budget", budget], capsys)
+        assert code == 2 and out == ""
+        assert "--pair-budget" in err and "non-negative" in err
+
     def test_zero_denominator_window_is_2(self, capsys):
         code, out, err = run_cli(["corollary", "--group", "psl2z", "--radius", "2",
                                   "--window", "1/0"], capsys)
@@ -316,6 +323,18 @@ class TestValuesBeyondLimits:
         assert time.perf_counter() - t0 < 1.0
         assert code == 4 and out == ""
         assert "finite points" in err
+
+    @pytest.mark.parametrize("c, n_bound", [("3/2", "1000"), ("1/2", "40")])
+    def test_power_past_bit_budget_is_3_at_once(self, capsys, c, n_bound):
+        # |c| within 2^-900 of 1 or below it: no float-range exit can decide,
+        # and the exact powers stop at the bit budget
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["delta-c", "--c", c, "--ring", "Z",
+                                  "--k-bound", "1", "--n-bound", n_bound], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "bit budget" in err
 
     def test_embedding_nan_is_4(self, capsys):
         # both coefficients of c^(2^11) overflow a float with opposite signs,

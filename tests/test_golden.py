@@ -1,7 +1,8 @@
 """Golden CLI outputs: every case below must reproduce its committed file in
-tests/golden/ byte for byte. The cases are the criterion-8 command set in
-every format, plus `enumerate` (json) and `traces` (csv) for each catalog
-group at radius 6.
+tests/golden/ byte for byte. The cases are the criterion-8 command set,
+the Delta_c set path over other rings and the heavy analytics commands at
+benchmark size, each in every format, plus `enumerate` (json) and `traces`
+(csv) for each catalog group at radius 6.
 
 The files are the regression oracle for refactors. Regenerate them only for
 an intended output change, and say so in CHANGES.md:
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from tracelab import catalog_names
+from tracelab import RingOfIntegers, catalog_names, cli
 from tracelab.cli import main
 
 from test_acceptance import CLI_COMMANDS
@@ -33,7 +34,15 @@ DELTA_C_SET_COMMANDS = [
      "--k-bound", "3", "--n-bound", "2"],
 ]
 
-CASES = [(argv, fmt) for argv in CLI_COMMANDS + DELTA_C_SET_COMMANDS
+# the heavy analytics commands at the size the benchmark runs them
+BENCHMARK_SIZE_COMMANDS = [
+    ["kronecker", "--theta1", "1.4142135623730951", "--theta2", "1", "--K", "400"],
+    ["counting", "--kind", "two-to-one", "--N", "400"],
+    ["counting", "--kind", "rn", "--N", "200"],
+]
+
+CASES = [(argv, fmt)
+         for argv in CLI_COMMANDS + DELTA_C_SET_COMMANDS + BENCHMARK_SIZE_COMMANDS
          for fmt in ("json", "csv", "data")]
 CASES += [(["enumerate", "--group", name, "--radius", "6"], "json")
           for name in catalog_names()]
@@ -53,6 +62,27 @@ def test_golden_set_is_exactly_the_cases():
 @pytest.mark.parametrize("argv,fmt", CASES,
                          ids=[golden_path(a, f).name for a, f in CASES])
 def test_output_matches_golden(argv, fmt, tmp_path):
+    out = tmp_path / "out"
+    assert main(argv + ["--format", fmt, "--output", str(out)]) == 0
+    assert out.read_bytes() == golden_path(argv, fmt).read_bytes()
+
+
+DELTA_C_SET_CASES = [argv for argv in CLI_COMMANDS + DELTA_C_SET_COMMANDS
+                     if argv[0] == "delta-c" and "--witness" not in argv]
+
+
+@pytest.mark.parametrize("fmt, unused", [
+    ("json", ("format_coords", "_dec")), ("data", ("format_coords",))])
+@pytest.mark.parametrize("argv", DELTA_C_SET_CASES,
+                         ids=[golden_path(a, "").stem for a in DELTA_C_SET_CASES])
+def test_delta_c_builds_only_the_table_it_prints(argv, fmt, unused, monkeypatch,
+                                                  tmp_path):
+    # JSON prints no rows and data prints no value text: neither is built
+    def refuse(*args):
+        raise AssertionError(f"delta-c --format {fmt} built text it does not print")
+    for name in unused:
+        monkeypatch.setattr(RingOfIntegers if name == "format_coords" else cli,
+                            name, refuse)
     out = tmp_path / "out"
     assert main(argv + ["--format", fmt, "--output", str(out)]) == 0
     assert out.read_bytes() == golden_path(argv, fmt).read_bytes()

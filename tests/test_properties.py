@@ -3,8 +3,9 @@ interpreter's 4300-digit int <-> str limit), determinant and sign
 invariants of products, agreement of the integer-coordinate ProjMat with
 the Mat2 path, and invariance of the trace set under the choice of
 generators, the shared embedded-sign rule against a high-precision
-evaluation, delta_c_set against the QuadElem reference path, and the early
-float-range exit of `delta-c` against the exact path."""
+evaluation, delta_c_set against the QuadElem reference path, the early
+float-range exit of `delta-c` against the exact path, and the bisected
+Kronecker envelope against the exhaustive loop."""
 
 import math
 from fractions import Fraction
@@ -16,13 +17,14 @@ from hypothesis import given, settings, strategies as st
 from tracelab import (QQ, FieldDesc, GroupSpec, Mat2, PreconditionError, ProjMat,
                       QuadElem, RingOfIntegers, canonical_trace, cluster_counts,
                       delta_c_set, enumerate_ball, format_mat2, format_quadelem,
+                      kronecker_gap_demo,
                       parse_mat2, parse_quadelem, ring_of_integers, trace_set)
 from tracelab.cli import _beyond_float_range
 from tracelab.groups import group_spec_from_dict
 from tracelab.qfield import embedded_sign
 
-from conftest import (delta_c_reference, mat2_canonical, mat2_is_identity,
-                      mat2_least_traces)
+from conftest import (delta_c_reference, kronecker_reference, mat2_canonical,
+                      mat2_is_identity, mat2_least_traces)
 
 FIELDS = (QQ, FieldDesc(-1), FieldDesc(-3), FieldDesc(2), FieldDesc(5))
 CHEAP = settings(max_examples=30, deadline=None, database=None)
@@ -207,3 +209,19 @@ def test_early_float_range_exit_only_where_exact_path_exits(drawn, big_m1):
     dset = delta_c_set(c, ring, k_bound, n_bound, m1)
     with pytest.raises(PreconditionError, match="finite points"):
         cluster_counts(dset.embedded)
+
+
+KRONECKER_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308,
+                      math.inf, -math.inf, math.nan)
+kronecker_floats = (st.sampled_from(KRONECKER_SPECIALS)
+                    | st.builds(lambda m, s: s * m, st.floats(1e-20, 1e20),
+                                st.sampled_from((1.0, -1.0))))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(kronecker_floats, kronecker_floats, kronecker_floats, st.integers(1, 40))
+def test_kronecker_envelope_matches_exhaustive_loop(theta1, theta2, delta, k_max):
+    # repr tells 0.0 from -0.0 and shows inf and nan, so equal reprs mean
+    # the same floats
+    assert repr(kronecker_gap_demo(theta1, theta2, k_max, delta)) == repr(
+        kronecker_reference(theta1, theta2, k_max, delta))

@@ -16,9 +16,9 @@ from typing import Iterable, Optional, Sequence, Union
 
 import mpmath
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, FieldMismatchError, PreconditionError
 from .qfield import (QuadElem, RingOfIntegers, bezout_bounded, gcd_ring,
-                     m2_constant, prime_power_factor, ring_of_integers)
+                     m2_constant, prime_power_factor)
 
 Number = Union[int, float, complex, Fraction]
 EULER_GAMMA = 0.5772156649015329
@@ -289,15 +289,19 @@ class DeltaCSet:
 
     def values(self) -> list[QuadElem]:
         """The values as QuadElems of the ring's field, built on demand."""
-        element = self.ring.element
-        return [element(Fraction(x0, den), Fraction(x1, den))
-                for x0, x1, den in self.coords]
+        return [QuadElem(self.ring, den, x0, x1) for x0, x1, den in self.coords]
 
 
 # delta_c_set squares c^(2^e) only while its coordinates have at most half
 # this many bits, so that the squarings and their gcds stay well under a
 # second (about 0.1 s for c = 3/2 on a 2-core x86-64 VM, Python 3.11)
 POWER_BIT_BUDGET = 2 ** 18
+
+# delta_c_cluster_witness needs Bezout operands of at most this many bits,
+# estimated as (f(1) + ... + f(n))*log2(max(|p|, |q|)): ~1 s at most on the
+# VM above, slowest over imaginary rings (c = 3/2 over Z: n = 5 is 2,154
+# bits, 0.016 s; n = 6 is 8,644 bits, 0.16 s; n = 7 is 34,611 bits, 5.4 s)
+WITNESS_BIT_BUDGET = 2 ** 12
 
 
 def delta_c_set(c: QuadElem, ring: RingOfIntegers, k_bound: int, n_bound: int,
@@ -314,11 +318,12 @@ def delta_c_set(c: QuadElem, ring: RingOfIntegers, k_bound: int, n_bound: int,
     if m1 < 1:
         raise PreconditionError("delta_c_set requires m1 >= 1")
     # values live in c's field; over Z the lattice is Z whatever c is
-    basis = (ring_of_integers(c.field) if ring.is_rational and not c.field.is_rational
-             else ring)
+    basis = c.ring if ring.is_rational else ring
+    if c.ring is not basis and not c.ring.is_rational:
+        raise FieldMismatchError(f"c of {c.field} not in ring over {ring.field}")
     t, n = basis.t, basis.n
     gcd = math.gcd
-    powers = [basis.coords(c)]
+    powers = [(c.x0, c.x1, c.den)]
     for e in range(1, n_bound + 1):  # c^(2^e) is the square of c^(2^(e-1))
         p0, p1, q = powers[-1]
         if 2 * max(p0.bit_length(), p1.bit_length(), q.bit_length()) > POWER_BIT_BUDGET:
@@ -387,12 +392,9 @@ class DeltaWitness:
 
 
 def _abs_mp(x: QuadElem):
+    """|x| for x of Q or an imaginary quadratic field, where |x|^2 = N(x)."""
     n = x.norm()
-    if x.field.is_rational or x.field.is_imaginary:
-        return mpmath.sqrt(mpmath.mpf(n.numerator) / mpmath.mpf(n.denominator))
-    a = mpmath.mpf(x.a.numerator) / mpmath.mpf(x.a.denominator)
-    b = mpmath.mpf(x.b.numerator) / mpmath.mpf(x.b.denominator)
-    return abs(a + b * mpmath.sqrt(x.field.d))
+    return mpmath.sqrt(mpmath.mpf(n.numerator) / mpmath.mpf(n.denominator))
 
 
 def _log_abs(x: QuadElem) -> float:
@@ -408,8 +410,7 @@ def _half_norm_bound(x: QuadElem) -> bool:
 
 def lowest_terms(c: QuadElem, ring: RingOfIntegers) -> tuple[QuadElem, QuadElem]:
     """c = p/q with p, q integral and coprime, q a canonical associate."""
-    m, n = ring.lattice_coords(c)
-    q0 = QuadElem.rational(math.lcm(m.denominator, n.denominator), ring.field)
+    q0 = QuadElem.rational(c.den, ring.field)
     p0 = c * q0
     g = gcd_ring(p0, q0, ring)
     p, q = p0 / g, q0 / g
@@ -431,6 +432,9 @@ def delta_c_cluster_witness(c: QuadElem, ring: RingOfIntegers, n: int,
     z_j = M1 u_j (prod_{i<j} v_i) c (p/q)^f(j). Distinctness and the 1/2
     bound are asserted exactly; the telescoping identity makes
     z_j - z_0 = M1 c (prod_{i<j} v_i) / q^f(j).
+
+    Raises BudgetExceededError, before any Bezout step, when the powers
+    p^f(i), q^f(i) would pass WITNESS_BIT_BUDGET bits in all.
     """
     if n < 1:
         raise PreconditionError("delta_c_cluster_witness requires n >= 1")
@@ -443,7 +447,7 @@ def delta_c_cluster_witness(c: QuadElem, ring: RingOfIntegers, n: int,
     p, q = lowest_terms(c, ring)
     q1 = prime_power_factor(q, ring)
     m2 = m2_constant(ring)
-    big_m = max(float(m1), m2)
+    big_m = max(m1, m2)
     log_p, log_q, log_c = _log_abs(p), _log_abs(q), _log_abs(c)
     if log_q <= 0:
         raise AssertionError("the reduced denominator q is a unit")
@@ -464,6 +468,10 @@ def delta_c_cluster_witness(c: QuadElem, ring: RingOfIntegers, n: int,
                 while (2 ** k - 1) * lq < tgt:
                     k += 1
         f.append(2 ** k - 1)
+        if sum(f) * max(log_p, log_q) > WITNESS_BIT_BUDGET * math.log(2):
+            raise BudgetExceededError(
+                f"the witness powers p^f(i), q^f(i), i <= {j}, with f({j}) = {f[-1]}, "
+                f"would pass the {WITNESS_BIT_BUDGET}-bit budget of an exact witness")
 
     pq = p / q
 

@@ -5,7 +5,6 @@ the subtraction-closure criterion."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -13,7 +12,7 @@ from typing import Optional, Sequence
 from .errors import PreconditionError
 from .groups import Ball, TraceSet, gamma2_ball, trace_set
 from .psl2 import canonical_trace
-from .qfield import QQ, FieldDesc, QuadElem, _ring_of, format_quadelem
+from .qfield import QQ, FieldDesc, QuadElem, format_quadelem
 
 VERDICT_CONSISTENT = "consistent_with_derived_from_quaternion_algebra"
 VERDICT_WITNESS = "non_arithmetic_witness"
@@ -34,7 +33,7 @@ def trace_field(traces: TraceSet) -> FieldDesc:
         raise PreconditionError("trace_field requires a nonempty trace set")
     found = QQ
     for t in traces.exact:
-        if t.b != 0:
+        if t.x1:
             if not found.is_rational and found != t.field:
                 raise PreconditionError("traces span more than one quadratic field")
             found = t.field
@@ -65,12 +64,6 @@ class IntegralityResult:
         return None
 
 
-def _lattice_denominator(t: QuadElem) -> int:
-    """Denominator of t with respect to the ring of integers of its field."""
-    m, n = _ring_of(t.field).lattice_coords(t)
-    return math.lcm(m.denominator, n.denominator)
-
-
 def integrality_check(traces: TraceSet, doubling_steps: int = 3) -> IntegralityResult:
     """Every trace must be an algebraic integer; violations are certified by
     strict denominator growth along t -> t^2 - 2 (traces of repeated squares)."""
@@ -81,7 +74,7 @@ def integrality_check(traces: TraceSet, doubling_steps: int = 3) -> IntegralityR
         denoms = []
         cur = t
         for _ in range(doubling_steps + 1):
-            denoms.append(_lattice_denominator(cur))
+            denoms.append(cur.den)
             cur = cur * cur - 2
         violations.append(IntegralityViolation(t, tuple(denoms)))
     return IntegralityResult(not violations, tuple(violations))
@@ -264,8 +257,8 @@ def subtraction_closure_check(traces: TraceSet, window) -> ClosureReport:
 
     def within_window(x: QuadElem) -> bool:
         # |x| <= W, exactly; x is canonical so its real part is nonnegative
-        if x.field.is_rational or x.b == 0:
-            return abs(x.a) <= win
+        if x.x1 == 0:
+            return abs(x.x0) <= win * x.den
         if x.field.is_imaginary:
             return x.norm() <= win * win  # norm is the squared modulus
         return (x - win).real_sign() <= 0

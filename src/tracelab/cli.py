@@ -381,8 +381,14 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="write to this path instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A usage error, in subcommands too, is one `error:` line, exit 2."""
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="tracelab",
         description="Exact trace-set experiments for matrix groups over "
                     "quadratic fields.")

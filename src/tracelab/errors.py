@@ -20,7 +20,7 @@ class UnsupportedRingError(PreconditionError):
 
 class BudgetExceededError(RuntimeError):
     """A computation hit its budget: enumeration its element budget, or
-    delta_c_set the bit budget of its exact powers.
+    delta_c_set or delta_c_cluster_witness the bit budget of its powers.
 
     From enumeration it carries the partial result truncated to the last
     fully completed radius.

@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 from .errors import PreconditionError
 from .qfield import (QQ, FieldDesc, QuadElem, RingOfIntegers, _common_field, _ring_of,
-                     embedded_sign, format_quadelem, parse_quadelem)
+                     format_quadelem, parse_quadelem)
 
 Scalar = Union[int, Fraction, QuadElem]
 
@@ -38,7 +38,7 @@ class Mat2:
 
     def __post_init__(self):
         det = self.a * self.d - self.b * self.c
-        if not (det.a == 1 and det.b == 0):
+        if not (det.x0 == 1 and det.x1 == 0 and det.den == 1):
             raise ValueError(f"determinant is {format_quadelem(det)}, not 1")
 
     @staticmethod
@@ -100,17 +100,10 @@ class Mat2:
 def canonical_trace(t: QuadElem) -> QuadElem:
     """Fold the sign: nonnegative embedded real part, tie broken to
     nonnegative imaginary part."""
-    return -t if embedded_sign(t.a, t.b, t.field.d) < 0 else t
+    return -t if t.ring.sign(t.x0, t.x1) < 0 else t
 
 
 # -- PSL(2) on integer coordinates -----------------------------------------
-
-def _sign(ring: RingOfIntegers, x0: int, x1: int) -> int:
-    """The embedded sign of x0 + x1*omega, read off its double
-    (2*x0 + t*x1) + (2 - t)*x1*sqrt(d)."""
-    t = ring.t
-    return embedded_sign(2 * x0 + t * x1, (2 - t) * x1, ring.field.d)
-
 
 _IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
 
@@ -138,7 +131,7 @@ class ProjMat:
                 x = tuple(v // g for v in x)
         for i in (0, 2, 4, 6):
             if x[i] or x[i + 1]:
-                if _sign(ring, x[i], x[i + 1]) < 0:
+                if ring.sign(x[i], x[i + 1]) < 0:
                     x = tuple(map(operator.neg, x))
                 break
         self._ring = ring
@@ -148,10 +141,10 @@ class ProjMat:
 
     @staticmethod
     def of(m: Mat2) -> ProjMat:
-        ring = _ring_of(m.field)
-        coords = [v for e in m.entries() for v in ring.lattice_coords(e)]
-        den = math.lcm(*(v.denominator for v in coords))
-        return ProjMat(ring, den, tuple((v * den).numerator for v in coords))
+        entries = m.entries()  # of m's field or of Q, whose (x0, 0) fit every ring
+        den = math.lcm(*(e.den for e in entries))
+        return ProjMat(_ring_of(m.field), den,
+                       tuple(v * (den // e.den) for e in entries for v in (e.x0, e.x1)))
 
     @staticmethod
     def make(a: Scalar, b: Scalar, c: Scalar, d: Scalar,
@@ -169,9 +162,8 @@ class ProjMat:
     @property
     def rep(self) -> Mat2:
         """The sign-canonical matrix, as a Mat2 of field elements."""
-        element, x, den = self._ring.element, self.x, self.den
-        return Mat2(*(element(Fraction(x[i], den), Fraction(x[i + 1], den))
-                      for i in (0, 2, 4, 6)))
+        ring, x, den = self._ring, self.x, self.den
+        return Mat2(*(QuadElem(ring, den, x[i], x[i + 1]) for i in (0, 2, 4, 6)))
 
     def __mul__(self, other: ProjMat) -> ProjMat:
         ring = self._ring
@@ -196,7 +188,7 @@ class ProjMat:
     def trace(self) -> QuadElem:
         """The trace a + d, sign-folded as canonical_trace folds it."""
         t0, t1, den, _ = self.trace_key()
-        return self._ring.element(Fraction(t0, den), Fraction(t1, den))
+        return QuadElem(self._ring, den, t0, t1)
 
     def trace_key(self) -> tuple:
         """trace() as exact integers: equal keys iff equal traces."""
@@ -205,7 +197,7 @@ class ProjMat:
         if den != 1:
             g = math.gcd(den, t0, t1)
             den, t0, t1 = den // g, t0 // g, t1 // g
-        if _sign(self._ring, t0, t1) < 0:
+        if self._ring.sign(t0, t1) < 0:
             t0, t1 = -t0, -t1
         return (t0, t1, den, self._ring.field.d)
 
@@ -391,4 +383,4 @@ def parse_mat2(text: str, field: Optional[FieldDesc] = None) -> Mat2:
         f = _common_field(f, e.field)
     if field is not None and not field.is_rational:
         f = _common_field(f, field)
-    return Mat2(*(QuadElem(e.a, e.b, f) if e.field != f else e for e in elems))
+    return Mat2(*(QuadElem(_ring_of(f), e.den, e.x0, e.x1) for e in elems))

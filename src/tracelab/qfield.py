@@ -1,9 +1,12 @@
 """Exact arithmetic in Q and quadratic fields Q(sqrt(d)).
 
-Elements are a + b*sqrt(d) with rational a, b. The module also provides
-rings of integers, norm/trace, integrality tests, the lattice constant M1,
-the Bezout bound constant M2, and extended-Euclidean Bezout pairs in Z and
-the five norm-Euclidean imaginary quadratic rings (d in {-1,-2,-3,-7,-11}).
+An element a + b*sqrt(d) is held as integers (x0 + x1*omega)/den in the
+basis (1, omega) of the ring of integers of its field, in lowest terms
+with den > 0; the ring (RingOfIntegers, one per field) owns omega and
+the integer rules on such coordinates. The module also provides norm/trace,
+integrality tests, the lattice constant M1, the Bezout bound constant M2,
+and extended-Euclidean Bezout pairs in Z and the five norm-Euclidean
+imaginary quadratic rings (d in {-1,-2,-3,-7,-11}).
 """
 
 from __future__ import annotations
@@ -31,17 +34,6 @@ def _ratio_float(num: int, den: int) -> float:
         return num / den
     except OverflowError:
         return math.inf if num > 0 else -math.inf
-
-
-def _embed_terms(an: int, ad: int, bn: int, bd: int, d: Optional[int]):
-    """Double-precision value of an/ad + (bn/bd)*sqrt(d) (ad, bd > 0):
-    complex for d < 0, float otherwise. Values beyond float range overflow
-    to +-inf."""
-    if d is None:
-        return _ratio_float(an, ad)
-    if d > 0:
-        return _ratio_float(an, ad) + _ratio_float(bn, bd) * math.sqrt(d)
-    return complex(_ratio_float(an, ad), _ratio_float(bn, bd) * math.sqrt(-d))
 
 
 def _is_squarefree(n: int) -> bool:
@@ -107,96 +99,119 @@ def embedded_sign(a: Rational, b: Rational, d: Optional[int]) -> int:
     return 1 if b > 0 else -1
 
 
-@dataclass(frozen=True, slots=True)
 class QuadElem:
-    """Exact value a + b*sqrt(d); rationals carry the field QQ and b == 0."""
+    """Exact value (x0 + x1*omega)/den of Q or a quadratic field: integers
+    in lowest terms with den > 0 in the basis (1, omega) of `ring`, the
+    ring of integers of the field (x1 == 0 over Q). A value of Q and the
+    same value of a quadratic field are different elements. Build elements
+    with of, rational or RingOfIntegers.element."""
 
-    a: Fraction
-    b: Fraction
-    field: FieldDesc
+    __slots__ = ("ring", "den", "x0", "x1")
 
-    def __post_init__(self):
-        if self.field.is_rational and self.b != 0:
-            raise ValueError("rational-field element must have b == 0")
+    def __init__(self, ring: RingOfIntegers, den: int, x0: int, x1: int):
+        """(x0 + x1*omega)/den for den > 0, put in lowest terms here."""
+        if den != 1:
+            g = math.gcd(den, x0, x1)
+            if g != 1:
+                den, x0, x1 = den // g, x0 // g, x1 // g
+        self.ring = ring
+        self.den = den
+        self.x0 = x0
+        self.x1 = x1
 
     @staticmethod
     def of(a: Rational, b: Rational = 0, field: FieldDesc = QQ) -> QuadElem:
-        return QuadElem(Fraction(a), Fraction(b), field)
+        """The element a + b*sqrt(d) of field."""
+        ring = _ring_of(field)
+        if b and ring.is_rational:
+            raise ValueError("rational-field element must have b == 0")
+        t, s = ring.doubled(0, 1)  # 2*omega = t + s*sqrt(d)
+        return QuadElem.rational(a, field) + (2 * ring.omega - t) * (Fraction(b) / s)
 
     @staticmethod
     def rational(a: Rational, field: FieldDesc = QQ) -> QuadElem:
-        return QuadElem(Fraction(a), Fraction(0), field)
+        a = Fraction(a)
+        return QuadElem(_ring_of(field), a.denominator, a.numerator, 0)
+
+    @property
+    def field(self) -> FieldDesc:
+        return self.ring.field
+
+    @property
+    def a(self) -> Fraction:
+        """a in a + b*sqrt(d)."""
+        return Fraction(*self.ring.sqrt_terms(self.x0, self.x1, self.den)[:2])
+
+    @property
+    def b(self) -> Fraction:
+        """b in a + b*sqrt(d)."""
+        return Fraction(*self.ring.sqrt_terms(self.x0, self.x1, self.den)[2:])
 
     # -- ring structure -------------------------------------------------
 
-    def _coerce(self, other) -> "QuadElem":
+    def _with(self, other) -> Optional[tuple[RingOfIntegers, QuadElem]]:
+        """(ring of the result, other as an element), or None when other is
+        not a QuadElem, int or Fraction."""
+        ring = self.ring
         if isinstance(other, QuadElem):
-            return other
+            if other.ring is ring or other.ring.is_rational:
+                return ring, other
+            if ring.is_rational:
+                return other.ring, other
+            raise FieldMismatchError(f"cannot mix elements of {ring.field} and {other.field}")
         if isinstance(other, (int, Fraction)):
-            return QuadElem(Fraction(other), Fraction(0), self.field)
-        return NotImplemented
-
-    def _join(self, other: QuadElem) -> tuple["QuadElem", "QuadElem", FieldDesc]:
-        field = _common_field(self.field, other.field)
-        x = self if self.field == field else QuadElem(self.a, self.b, field)
-        y = other if other.field == field else QuadElem(other.a, other.b, field)
-        return x, y, field
+            return ring, QuadElem(ring, other.denominator, other.numerator, 0)
+        return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        pair = self._with(other)
+        if pair is None:
             return NotImplemented
-        x, y, field = self._join(other)
-        return QuadElem(x.a + y.a, x.b + y.b, field)
+        ring, y = pair
+        d, e = self.den, y.den
+        return QuadElem(ring, d * e, self.x0 * e + y.x0 * d, self.x1 * e + y.x1 * d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        x, y, field = self._join(other)
-        return QuadElem(x.a - y.a, x.b - y.b, field)
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return QuadElem(-self.a, -self.b, self.field)
+        return QuadElem(self.ring, self.den, -self.x0, -self.x1)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        pair = self._with(other)
+        if pair is None:
             return NotImplemented
-        x, y, field = self._join(other)
-        if field.is_rational:
-            return QuadElem(x.a * y.a, Fraction(0), field)
-        d = field.d
-        return QuadElem(x.a * y.a + d * x.b * y.b, x.a * y.b + x.b * y.a, field)
+        ring, y = pair
+        # (p0 + p1 w)(q0 + q1 w) = p0 q0 - n p1 q1 + (p0 q1 + p1 q0 + t p1 q1) w
+        p0, p1, q0, q1 = self.x0, self.x1, y.x0, y.x1
+        w = p1 * q1
+        return QuadElem(ring, self.den * y.den, p0 * q0 - ring.n * w,
+                        p0 * q1 + p1 * q0 + ring.t * w)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        pair = self._with(other)
+        if pair is None:
             return NotImplemented
-        x, y, _ = self._join(other)
+        y = pair[1]
         if y.is_zero():
             raise ZeroDivisionError("division by zero field element")
-        n = y.norm()
-        return x * QuadElem(y.a / n, -y.b / n, y.field)
+        return self * y.conjugate() * (1 / y.norm())
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+        pair = self._with(other)
+        return NotImplemented if pair is None else pair[1] / self
 
     def __pow__(self, n: int):
         if n < 0:
-            return (QuadElem.rational(1, self.field) / self) ** (-n)
-        result = QuadElem.rational(1, self.field)
-        base = self
+            return (1 / self) ** (-n)
+        result, base = QuadElem(self.ring, 1, 1, 0), self
         while n:
             if n & 1:
                 result = result * base
@@ -204,54 +219,58 @@ class QuadElem:
             n >>= 1
         return result
 
+    def __eq__(self, other):
+        if not isinstance(other, QuadElem):
+            return NotImplemented
+        return (self.x0 == other.x0 and self.x1 == other.x1 and self.den == other.den
+                and self.ring is other.ring)
+
+    def __hash__(self):
+        return hash((self.x0, self.x1, self.den, self.ring.field.d))
+
     # -- field invariants ------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.x0 == 0 and self.x1 == 0
 
     def conjugate(self) -> QuadElem:
-        """Galois conjugate a - b*sqrt(d)."""
-        return QuadElem(self.a, -self.b, self.field)
+        """Galois conjugate a - b*sqrt(d); omega's conjugate is t - omega."""
+        return QuadElem(self.ring, self.den, self.x0 + self.ring.t * self.x1, -self.x1)
 
     def norm(self) -> Fraction:
         """N(a + b*sqrt(d)) = a^2 - d*b^2."""
-        if self.field.is_rational:
-            return self.a * self.a
-        return self.a * self.a - self.field.d * self.b * self.b
+        return Fraction(self.ring.norm(self.x0, self.x1), self.den * self.den)
 
     def trace(self) -> Fraction:
         """Tr(a + b*sqrt(d)) = 2a."""
-        return 2 * self.a
+        return Fraction(self.ring.doubled(self.x0, self.x1)[0], self.den)
 
     def is_algebraic_integer(self) -> bool:
-        if self.b == 0:
-            return self.a.denominator == 1
-        return self.trace().denominator == 1 and self.norm().denominator == 1
+        return self.den == 1
 
     # -- exact sign data of the embedded value ---------------------------
 
     def real_sign(self) -> int:
         """Exact sign of Re(a + b*sqrt(d)) under the principal embedding."""
-        return embedded_sign(self.a, 0 if self.field.is_imaginary else self.b,
-                             self.field.d)
+        field, (re, im) = self.field, self.ring.doubled(self.x0, self.x1)
+        return embedded_sign(re, 0 if field.is_imaginary else im, field.d)
 
     def imag_sign(self) -> int:
-        d = self.field.d
-        if d is None or d > 0:
+        if not self.ring.field.is_imaginary:
             return 0
-        return -1 if self.b < 0 else (1 if self.b > 0 else 0)
+        return (self.x1 > 0) - (self.x1 < 0)
 
-    def compare_embedded(self, other: QuadElem) -> int:
+    def compare_embedded(self, other) -> int:
         """Exact comparison by embedded real part, then imaginary part."""
-        x, y, field = self._join(self._coerce(other))
-        return embedded_sign(x.a - y.a, x.b - y.b, field.d)
+        ring, y = self._with(other)
+        d, e = self.den, y.den
+        return ring.sign(self.x0 * e - y.x0 * d, self.x1 * e - y.x1 * d)
 
     def embed(self, conjugate: bool = False):
         """Double-precision value; complex for d < 0, float otherwise.
         Values beyond float range overflow to +-inf."""
-        a, b = self.a, -self.b if conjugate else self.b
-        return _embed_terms(a.numerator, a.denominator, b.numerator, b.denominator,
-                           self.field.d)
+        x = self.conjugate() if conjugate else self
+        return x.ring.embed_coords(x.x0, x.x1, x.den)
 
     def __repr__(self):
         return f"QuadElem({format_quadelem(self)!r}, field={self.field!r})"
@@ -300,8 +319,7 @@ def _format_terms(an: int, ad: int, bn: int, bd: int, d: Optional[int]) -> str:
 
 def format_quadelem(x: QuadElem) -> str:
     """Canonical whitespace-free text form: "p/q" or "p/q+r/s*sqrt(d)"."""
-    return _format_terms(x.a.numerator, x.a.denominator, x.b.numerator,
-                        x.b.denominator, x.field.d)
+    return _format_terms(*x.ring.sqrt_terms(x.x0, x.x1, x.den), x.field.d)
 
 
 def parse_quadelem(text: str, field: Optional[FieldDesc] = None) -> QuadElem:
@@ -346,28 +364,28 @@ def parse_quadelem(text: str, field: Optional[FieldDesc] = None) -> QuadElem:
         f = FieldDesc(d_seen)
         if field is not None and not field.is_rational and field != f:
             raise FieldMismatchError(f"literal {text!r} does not live in {field}")
-        return QuadElem(a, b, f)
-    if field is not None and not field.is_rational:
-        return QuadElem(a, Fraction(0), field)
-    return QuadElem(a, Fraction(0), QQ)
+        return QuadElem.of(a, b, f)
+    return QuadElem.rational(a, field or QQ)
 
 
 # -- rings of integers -----------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
 class RingOfIntegers:
-    """Z (field QQ) or Z + Z*omega inside a quadratic field, where
-    omega^2 = t*omega - n for the integers t = Tr(omega) and n = N(omega);
-    t = n = 0 over Z."""
+    """Z (field QQ) or Z + Z*omega, omega = (1+sqrt(d))/2 when d = 1 (mod 4)
+    and sqrt(d) otherwise, with omega^2 = t*omega - n for t = Tr(omega) and
+    n = N(omega) (t = n = 0 over Z). Its methods are the integer rules on
+    the coordinates (x0 + x1*omega)/den of QuadElem, ProjMat and DeltaCSet."""
 
     field: FieldDesc
-    omega: QuadElem
     t: int = dataclasses.field(init=False, repr=False, compare=False)
     n: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "t", int(self.omega.trace()))
-        object.__setattr__(self, "n", int(self.omega.norm()))
+        d = self.field.d
+        t, n = (0, 0) if d is None else (1, (1 - d) // 4) if d % 4 == 1 else (0, -d)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "n", n)
 
     @staticmethod
     def integers() -> "RingOfIntegers":
@@ -381,96 +399,80 @@ class RingOfIntegers:
     def is_euclidean(self) -> bool:
         return self.is_rational or self.field.d in EUCLIDEAN_IMAGINARY_D
 
-    def lattice_coords(self, x: QuadElem) -> tuple[Fraction, Fraction]:
-        """Rational (m, n) with x = m + n*omega."""
-        if self.is_rational:
-            if x.b != 0:
-                raise FieldMismatchError("element outside the rational field")
-            return x.a, Fraction(0)
-        if x.field != self.field and not x.field.is_rational:
-            raise FieldMismatchError(f"element of {x.field} not in ring over {self.field}")
-        n = x.b / self.omega.b
-        m = x.a - n * self.omega.a
-        return m, n
+    @property
+    def omega(self) -> QuadElem:
+        """omega; 0 over Z."""
+        return QuadElem(self, 1, 0, 0 if self.is_rational else 1)
 
-    def coords(self, x: QuadElem) -> tuple[int, int, int]:
-        """Integers (x0, x1, den) with x = (x0 + x1*omega)/den, den > 0 and
-        gcd(x0, x1, den) = 1."""
-        m, n = self.lattice_coords(x)
-        den = math.lcm(m.denominator, n.denominator)
-        return (m.numerator * (den // m.denominator),
-                n.numerator * (den // n.denominator), den)
+    def doubled(self, x0: int, x1: int) -> tuple[int, int]:
+        """(A, B) with 2*(x0 + x1*omega) = A + B*sqrt(d): the change to the
+        basis (1, sqrt(d))."""
+        t = self.t
+        return 2 * x0 + t * x1, (2 - t) * x1
+
+    def norm(self, x0: int, x1: int) -> int:
+        """N(x0 + x1*omega) = x0^2 + t*x0*x1 + n*x1^2."""
+        return x0 * (x0 + self.t * x1) + self.n * x1 * x1
+
+    def sign(self, x0: int, x1: int) -> int:
+        """The embedded sign (embedded_sign) of x0 + x1*omega."""
+        return embedded_sign(*self.doubled(x0, x1), self.field.d)
 
     def sqrt_terms(self, x0: int, x1: int, den: int) -> tuple[int, int, int, int]:
         """(an, ad, bn, bd) with (x0 + x1*omega)/den = an/ad + (bn/bd)*sqrt(d)
-        (den > 0), each fraction in lowest terms with a positive denominator:
-        the numerators and denominators of QuadElem's a and b."""
-        t, den2 = self.t, 2 * den
-        an, bn = 2 * x0 + t * x1, (2 - t) * x1
+        for (x0, x1, den) in lowest terms with den > 0, each fraction in
+        lowest terms with a positive denominator."""
+        if not x1:
+            return x0, den, 0, 1
+        (an, bn), den2 = self.doubled(x0, x1), 2 * den
         g, h = math.gcd(an, den2), math.gcd(bn, den2)
         return an // g, den2 // g, bn // h, den2 // h
 
     def embed_coords(self, x0: int, x1: int, den: int):
-        """QuadElem.embed() of (x0 + x1*omega)/den (den > 0)."""
-        t, den2 = self.t, 2 * den
-        return _embed_terms(2 * x0 + t * x1, den2, (2 - t) * x1, den2,
-                            self.field.d)
+        """Double-precision value of (x0 + x1*omega)/den (den > 0): complex
+        for d < 0, float otherwise. Values beyond float range overflow to
+        +-inf."""
+        (an, bn), den2, d = self.doubled(x0, x1), 2 * den, self.field.d
+        re, im = _ratio_float(an, den2), _ratio_float(bn, den2)
+        if d is None:
+            return re
+        return re + im * math.sqrt(d) if d > 0 else complex(re, im * math.sqrt(-d))
 
     def format_coords(self, x0: int, x1: int, den: int) -> str:
-        """format_quadelem of (x0 + x1*omega)/den (den > 0)."""
+        """format_quadelem of (x0 + x1*omega)/den, in lowest terms with den > 0."""
         return _format_terms(*self.sqrt_terms(x0, x1, den), self.field.d)
 
     def contains(self, x: QuadElem) -> bool:
-        m, n = self.lattice_coords(x)
-        return m.denominator == 1 and n.denominator == 1
+        if x.ring is not self and (x.x1 if self.is_rational else not x.ring.is_rational):
+            raise FieldMismatchError(f"element of {x.field} not in ring over {self.field}")
+        return x.den == 1
 
-    def element(self, m: Rational, n: Rational = 0) -> QuadElem:
-        """The field element m + n*omega."""
-        if self.is_rational:
-            if n != 0:
-                raise ValueError("Z has a rank-1 lattice")
-            return QuadElem.rational(m)
-        w = self.omega
-        return QuadElem(m + n * w.a, n * w.b, self.field)
+    def element(self, m: int, n: int = 0) -> QuadElem:
+        """The ring element m + n*omega."""
+        if n and self.is_rational:
+            raise ValueError("Z has a rank-1 lattice")
+        return QuadElem(self, 1, m, n)
 
     def is_unit(self, x: QuadElem) -> bool:
         return self.contains(x) and abs(x.norm()) == 1
 
     def units(self) -> tuple[QuadElem, ...]:
-        one = QuadElem.rational(1, self.field)
-        if self.is_rational or self.field.d not in (-1, -3):
-            return (one, -one)
-        if self.field.d == -1:
-            i = QuadElem.of(0, 1, self.field)
-            return (one, i, -one, -i)
-        # d == -3: the sixth roots of unity, powers of (1+sqrt(-3))/2
-        w = QuadElem.of(Fraction(1, 2), Fraction(1, 2), self.field)
-        return tuple(w ** k for k in range(6))
+        """The roots of unity, powers of omega over Z[i] and the ring of
+        Q(sqrt(-3)) (where omega = (1+sqrt(-3))/2), else +-1."""
+        order = {-1: 4, -3: 6}.get(self.field.d, 2)
+        generator = self.omega if order > 2 else QuadElem(self, 1, -1, 0)
+        return tuple(generator ** k for k in range(order))
 
     def canonical_associate(self, x: QuadElem) -> QuadElem:
         """Deterministic representative among unit multiples of x."""
-        if x.is_zero():
-            return x
-        best = None
-        for u in self.units():
-            cand = x * u
-            if best is None or cand.compare_embedded(best) > 0:
-                best = cand
-        return best
+        return max((x * u for u in self.units()),
+                   key=functools.cmp_to_key(QuadElem.compare_embedded))
 
 
 @functools.cache
 def _ring_of(field: FieldDesc) -> RingOfIntegers:
-    """The one ring of integers of each field: omega = (1+sqrt(d))/2 when
-    d = 1 (mod 4), else sqrt(d); omega = 0 over Q."""
-    d = field.d
-    if d is None:
-        omega = QuadElem.rational(0)
-    elif d % 4 == 1:
-        omega = QuadElem.of(Fraction(1, 2), Fraction(1, 2), field)
-    else:
-        omega = QuadElem.of(0, 1, field)
-    return RingOfIntegers(field, omega)
+    """The one ring of integers of each field."""
+    return RingOfIntegers(field)
 
 
 def ring_of_integers(field: FieldDesc) -> RingOfIntegers:
@@ -482,15 +484,13 @@ def ring_of_integers(field: FieldDesc) -> RingOfIntegers:
 
 def m1_constant(ring: RingOfIntegers, alpha: QuadElem) -> int:
     """Least M >= 1 with M*1 and M*omega inside the lattice Z + Z*alpha."""
-    if alpha.b == 0:
+    if alpha.x1 == 0:
         raise PreconditionError("m1_constant requires an irrational alpha")
     if ring.is_rational:
         raise PreconditionError("m1_constant requires a quadratic ring")
-    # coordinates of omega in the basis (1, alpha); 1 itself is always a
-    # lattice element, so only omega constrains M
-    n = ring.omega.b / alpha.b
-    m = ring.omega.a - n * alpha.a
-    return math.lcm(m.denominator, n.denominator)
+    # alpha = (a0 + a1*omega)/den in lowest terms: omega = (den*alpha - a0)/a1
+    # is in the lattice after scaling by M iff a1 divides M*a0 and M*den
+    return abs(alpha.x1)
 
 
 def m2_constant(ring: RingOfIntegers) -> float:
@@ -515,11 +515,11 @@ def _norm_sq_bound_holds(v: QuadElem, r: QuadElem, ring: RingOfIntegers) -> bool
 
 # -- Euclidean division and Bezout -----------------------------------------
 
-def _nearest_int(q: Fraction) -> int:
-    """Round to nearest; exact ties toward the smaller integer."""
-    fl = q.numerator // q.denominator
-    frac = q - fl
-    return fl if frac <= Fraction(1, 2) else fl + 1
+def _nearest_int(num: int, den: int) -> int:
+    """num/den (den > 0) rounded to nearest; exact ties toward the smaller
+    integer."""
+    q, r = divmod(num, den)
+    return q if 2 * r <= den else q + 1
 
 
 def divmod_ring(x: QuadElem, y: QuadElem, ring: RingOfIntegers) -> tuple[QuadElem, QuadElem]:
@@ -532,28 +532,27 @@ def divmod_ring(x: QuadElem, y: QuadElem, ring: RingOfIntegers) -> tuple[QuadEle
             f"no Euclidean division in the ring of integers of {ring.field}")
     if y.is_zero():
         raise ZeroDivisionError("division by zero ring element")
-    if ring.is_rational:
-        q = QuadElem.rational(_nearest_int(x.a / y.a))
-        return q, x - q * y
     t = x / y
-    tm, tn = ring.lattice_coords(t)
+    t0, t1, den = t.x0, t.x1, t.den
+    if ring.is_rational:
+        q = ring.element(_nearest_int(t0, den))
+        return q, x - q * y
     best = None
     best_key = None
-    n0 = tn.numerator // tn.denominator
+    n0 = t1 // den
     for n in range(n0 - 1, n0 + 3):
-        # with n fixed, Re(t - (m + n*omega)) = Re(tm + (tn - n)*omega) - m
-        m_center = ring.element(tm, tn - n).a
-        m0 = m_center.numerator // m_center.denominator
+        # with n fixed, Re(t - (m + n*omega)) = Re((t0 + (t1 - n*den)*omega)/den) - m
+        m0 = ring.doubled(t0, t1 - n * den)[0] // (2 * den)
         for m in range(m0 - 1, m0 + 3):
-            cand = ring.element(m, n)
-            key = ((t - cand).norm(), cand.a, cand.b)
+            # N(t - (m + n*omega)) * den^2, then the doubled a and b of m + n*omega
+            key = (ring.norm(t0 - m * den, t1 - n * den), *ring.doubled(m, n))
             if best_key is None or key < best_key:
-                best, best_key = cand, key
-    r = x - best * y
+                best, best_key = (m, n), key
+    q = ring.element(*best)
+    r = x - q * y
     if abs(r.norm()) >= abs(y.norm()):
         raise AssertionError("division failed to reduce the norm")
-    return best, r
-
+    return q, r
 
 def gcd_ring(x: QuadElem, y: QuadElem, ring: RingOfIntegers) -> QuadElem:
     while not y.is_zero():

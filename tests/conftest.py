@@ -1,6 +1,8 @@
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -15,7 +17,7 @@ def rand_elem(rng: random.Random, field: FieldDesc = QQ,
               num_max: int = 12, den_max: int = 12) -> QuadElem:
     a = rand_fraction(rng, num_max, den_max)
     b = Fraction(0) if field.is_rational else rand_fraction(rng, num_max, den_max)
-    return QuadElem(a, b, field)
+    return QuadElem.of(a, b, field)
 
 
 def rand_mat(rng: random.Random, field: FieldDesc = QQ, factors: int = 4) -> Mat2:
@@ -64,6 +66,106 @@ def mat2_least_traces(items) -> dict:
             t = canonical_trace(m.trace())
             least[t] = min(wl, least.get(t, wl))
     return least
+
+
+# -- the Fraction path: the reference arithmetic for QuadElem -------------
+
+def fraction_sign(a: Fraction, b: Fraction, d: Optional[int]) -> int:
+    """Exact sign of a + b*sqrt(d) under the principal embedding: the sign of
+    the real part, ties broken by the sign of the imaginary part."""
+    if not b:
+        return (a > 0) - (a < 0)
+    if d < 0:
+        return (a > 0) - (a < 0) or (1 if b > 0 else -1)
+    if a and (a > 0) != (b > 0) and a * a > d * b * b:
+        return 1 if a > 0 else -1
+    return 1 if b > 0 else -1
+
+
+def _fraction_text(x: Fraction) -> str:
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+@dataclass(frozen=True)
+class FracQuad:
+    """a + b*sqrt(d) with Fraction a, b (d None over Q, where b == 0):
+    field elements as held before integer ring coordinates. Values of
+    different fields are unequal; a rational operand joins the other's
+    field."""
+
+    a: Fraction
+    b: Fraction
+    d: Optional[int]
+
+    def _field(self, other: "FracQuad") -> Optional[int]:
+        return self.d if other.d is None else other.d
+
+    def __add__(self, other):
+        return FracQuad(self.a + other.a, self.b + other.b, self._field(other))
+
+    def __sub__(self, other):
+        return FracQuad(self.a - other.a, self.b - other.b, self._field(other))
+
+    def __neg__(self):
+        return FracQuad(-self.a, -self.b, self.d)
+
+    def __mul__(self, other):
+        d = self._field(other)
+        return FracQuad(self.a * other.a + (d or 0) * self.b * other.b,
+                        self.a * other.b + self.b * other.a, d)
+
+    def __truediv__(self, other):
+        n = other.norm()
+        return self * FracQuad(other.a / n, -other.b / n, other.d)
+
+    def __pow__(self, n: int):
+        base = FracQuad(Fraction(1), Fraction(0), self.d) / self if n < 0 else self
+        result = FracQuad(Fraction(1), Fraction(0), self.d)
+        for _ in range(abs(n)):
+            result = result * base
+        return result
+
+    def conjugate(self):
+        return FracQuad(self.a, -self.b, self.d)
+
+    def norm(self) -> Fraction:
+        return self.a * self.a - (self.d or 0) * self.b * self.b
+
+    def trace(self) -> Fraction:
+        return 2 * self.a
+
+    def is_algebraic_integer(self) -> bool:
+        if self.b == 0:
+            return self.a.denominator == 1
+        return self.trace().denominator == 1 and self.norm().denominator == 1
+
+    def real_sign(self) -> int:
+        imaginary = self.d is not None and self.d < 0
+        return fraction_sign(self.a, 0 if imaginary else self.b, self.d)
+
+    def imag_sign(self) -> int:
+        return (self.b > 0) - (self.b < 0) if self.d is not None and self.d < 0 else 0
+
+    def compare_embedded(self, other) -> int:
+        diff = self - other
+        return fraction_sign(diff.a, diff.b, diff.d)
+
+    def embed(self, conjugate: bool = False):
+        a, b = float(self.a), float(-self.b if conjugate else self.b)
+        if self.d is None:
+            return a
+        if self.d > 0:
+            return a + b * math.sqrt(self.d)
+        return complex(a, b * math.sqrt(-self.d))
+
+    def text(self) -> str:
+        if not self.b:
+            return _fraction_text(self.a)
+        coef = "" if abs(self.b) == 1 else f"{_fraction_text(abs(self.b))}*"
+        root = f"{coef}sqrt({self.d})"
+        if not self.a:
+            return root if self.b > 0 else f"-{root}"
+        return f"{_fraction_text(self.a)}{'+' if self.b > 0 else '-'}{root}"
 
 
 # -- the QuadElem path: the reference arithmetic for delta_c_set ----------

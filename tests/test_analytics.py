@@ -13,7 +13,7 @@ from tracelab import (BudgetExceededError, FieldDesc, PreconditionError, QQ, Qua
                       rn_two_to_one_check, theta_map, totient_sum_check,
                       totients, trace_set)
 
-from tracelab.analytics import POWER_BIT_BUDGET
+from tracelab.analytics import POWER_BIT_BUDGET, WITNESS_BIT_BUDGET
 
 from conftest import delta_c_reference, rn_reference, two_to_one_reference
 
@@ -313,6 +313,17 @@ class TestDeltaWitness:
         wit = delta_c_cluster_witness(q(Fraction(3, 2)), zz, 4)
         fs = wit.f_values
         assert all(b > a for a, b in zip(fs, fs[1:]))
+
+    def test_witness_bit_budget(self):
+        # c = 3/2: f = 0, 3, 15, 63, 255, 1023 sums to 1359, and 1359*log2(3)
+        # is 2,154 bits, within the 2^12-bit budget; f(6) = 4095 takes the
+        # sum to 8,644 bits and is refused before any Bezout step
+        assert WITNESS_BIT_BUDGET == 2 ** 12
+        zz = RingOfIntegers.integers()
+        wit = delta_c_cluster_witness(q(Fraction(3, 2)), zz, 5)
+        assert wit.f_values == (0, 3, 15, 63, 255, 1023)
+        with pytest.raises(BudgetExceededError, match=r"f\(6\) = 4095"):
+            delta_c_cluster_witness(q(Fraction(3, 2)), zz, 6)
 
     def test_integral_c_rejected(self):
         with pytest.raises(PreconditionError):

@@ -206,6 +206,22 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "--pair-budget" in err and "non-negative" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["traces", "--radius", "3"],
+        ["arith-check", "--group", "psl2z", "--radius", "2", "--pair-budget", "-5"],
+        ["kronecker", "--theta1", "nan", "--theta2", "1", "--K", "3"],
+        ["frobnicate"],
+    ], ids=["missing-group", "negative-pair-budget", "nan-theta1", "unknown-subcommand"])
+    def test_argparse_error_is_one_line(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_help_is_0(self, capsys):
+        code, out, err = run_cli(["arith-check", "--help"], capsys)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: tracelab arith-check") and "--pair-budget" in out
+
     def test_zero_denominator_window_is_2(self, capsys):
         code, out, err = run_cli(["corollary", "--group", "psl2z", "--radius", "2",
                                   "--window", "1/0"], capsys)
@@ -331,6 +347,17 @@ class TestValuesBeyondLimits:
         t0 = time.perf_counter()
         code, out, err = run_cli(["delta-c", "--c", c, "--ring", "Z",
                                   "--k-bound", "1", "--n-bound", n_bound], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "bit budget" in err
+
+    @pytest.mark.parametrize("extra", [["--witness", "8"], ["--witness", "2000"],
+                                       ["--witness", "2", "--m1", str(10 ** 400)]],
+                             ids=["8", "2000", "m1-1e400"])
+    def test_witness_past_bit_budget_is_3_at_once(self, capsys, extra):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["delta-c", "--c", "3/2", "--ring", "Z", *extra], capsys)
         assert time.perf_counter() - t0 < 1.0
         assert code == 3 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1

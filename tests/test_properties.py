@@ -3,7 +3,8 @@ interpreter's 4300-digit int <-> str limit), determinant and sign
 invariants of products, agreement of the integer-coordinate ProjMat with
 the Mat2 path, and invariance of the trace set under the choice of
 generators, the shared embedded-sign rule against a high-precision
-evaluation, delta_c_set against the QuadElem reference path, the early
+evaluation, QuadElem against the Fraction reference path, delta_c_set
+against the QuadElem reference path, the early
 float-range exit of `delta-c` against the exact path, and the bisected
 Kronecker envelope against the exhaustive loop."""
 
@@ -23,7 +24,7 @@ from tracelab.cli import _beyond_float_range
 from tracelab.groups import group_spec_from_dict
 from tracelab.qfield import embedded_sign
 
-from conftest import (delta_c_reference, kronecker_reference, mat2_canonical,
+from conftest import (FracQuad, delta_c_reference, kronecker_reference, mat2_canonical,
                       mat2_is_identity, mat2_least_traces)
 
 FIELDS = (QQ, FieldDesc(-1), FieldDesc(-3), FieldDesc(2), FieldDesc(5))
@@ -162,6 +163,70 @@ def test_embedded_sign_matches_high_precision_value(drawn):
         re, im = (a_mp + b_mp * root, 0) if d > 0 else (a_mp, b_mp * root)
         expected = _mp_sign(re) or _mp_sign(im)
     assert embedded_sign(a, b, d) == expected
+
+
+REFERENCE_DS = (None, -11, -7, -3, -2, -1, 2, 3, 5, 13)
+reference_coefs = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def reference_pairs(draw):
+    """Two (QuadElem, FracQuad) of one field, either sometimes a value of Q;
+    the second sometimes repeats the first's coefficients."""
+    d = draw(st.sampled_from(REFERENCE_DS))
+    pair = []
+    for i in range(2):
+        e = None if d is None or draw(st.integers(0, 3)) == 0 else d
+        a, b = draw(reference_coefs), draw(reference_coefs)
+        if i and draw(st.booleans()):
+            a, b = pair[0][1].a, pair[0][1].b
+        b = 0 if e is None else b
+        pair.append((QuadElem.of(a, b, FieldDesc(e)), FracQuad(Fraction(a), Fraction(b), e)))
+    return pair
+
+
+def _agrees(x: QuadElem, ref: FracQuad) -> bool:
+    """x is ref's value in ref's field, equal (and equal in hash) to the
+    element QuadElem.of builds for it."""
+    built = QuadElem.of(ref.a, ref.b, FieldDesc(ref.d))
+    return ((x.a, x.b, x.field.d) == (ref.a, ref.b, ref.d)
+            and x == built and hash(x) == hash(built))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(reference_pairs(), st.integers(-4, 4))
+def test_quadelem_agrees_with_fraction_path(pair, k):
+    (x, rx), (y, ry) = pair
+    assert _agrees(x, rx) and _agrees(y, ry)
+    assert _agrees(x + y, rx + ry) and _agrees(x - y, rx - ry)
+    assert _agrees(x * y, rx * ry) and _agrees(-x, -rx)
+    if y.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        assert _agrees(x / y, rx / ry)
+    if k >= 0 or not x.is_zero():
+        assert _agrees(x ** k, rx ** k)
+    assert _agrees(x.conjugate(), rx.conjugate())
+    assert (x.norm(), x.trace()) == (rx.norm(), rx.trace())
+    assert x.is_algebraic_integer() == rx.is_algebraic_integer()
+    assert x.embed() == rx.embed() and x.embed(conjugate=True) == rx.embed(conjugate=True)
+    assert (x.real_sign(), x.imag_sign()) == (rx.real_sign(), rx.imag_sign())
+    assert x.compare_embedded(y) == rx.compare_embedded(ry)
+    assert format_quadelem(x) == rx.text()
+    assert parse_quadelem(format_quadelem(x), x.field) == x
+    assert (x == y) == (rx == ry)
+    assert x != y or hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("d", REFERENCE_DS[1:])
+def test_rational_and_lifted_values_differ(d):
+    # equal values of Q and of Q(sqrt(d)) are different elements
+    for a in (0, 1, Fraction(-3, 2)):
+        rational, lifted = QuadElem.rational(a), QuadElem.rational(a, FieldDesc(d))
+        assert rational != lifted and hash(rational) != hash(lifted)
+        assert (rational - lifted).is_zero() and rational.compare_embedded(lifted) == 0
+    assert not QuadElem.rational(1) == 1
 
 
 DELTA_C_DS = (None, -1, -2, -3, -7, -11, 2, 5, 13)

@@ -7,11 +7,12 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 import statistics
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, attrgetter, eq, floordiv, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
 import mpmath
@@ -40,14 +41,13 @@ class ClusterGrid:
 
 
 def cluster_counts(points: Iterable[Number]) -> ClusterGrid:
-    counts: dict[tuple[int, int], int] = {}
-    for p in points:
-        z = complex(p)
-        try:
-            cell = (math.floor(z.real), math.floor(z.imag))
-        except (OverflowError, ValueError):  # an infinite or NaN coordinate
-            raise PreconditionError("cluster_counts requires finite points") from None
-        counts[cell] = counts.get(cell, 0) + 1
+    zs = list(map(complex, points))
+    floor = math.floor
+    try:
+        counts = Counter(zip(map(floor, map(attrgetter("real"), zs)),
+                             map(floor, map(attrgetter("imag"), zs))))
+    except (OverflowError, ValueError):  # an infinite or NaN coordinate
+        raise PreconditionError("cluster_counts requires finite points") from None
     max_count = max(counts.values(), default=0)
     return ClusterGrid(counts, max_count, len(counts))
 
@@ -177,23 +177,33 @@ def totients(n: int) -> list[int]:
     return phi
 
 
+def _rn_pairs(n: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The coprime pairs (r, s), 1 <= s <= r <= N, in lexicographic order,
+    and upto[m], the number of them with r <= m, for 0 <= m <= N. Both
+    halves of a tuple of R_N are such pairs, the second with r <= N/r1."""
+    if n < 1:
+        raise PreconditionError("rn_set requires N >= 1")
+    gcd = math.gcd
+    pairs = [(r, s) for r in range(1, n + 1) for s in range(1, r + 1) if gcd(r, s) == 1]
+    return pairs, [bisect.bisect_left(pairs, (m + 1,)) for m in range(n + 1)]
+
+
+def _check_rn_size(n: int, size: int) -> None:
+    """Raise unless size is the totient double sum for |R_N|."""
+    phi = totients(n)
+    formula = sum(phi[i] * sum(phi[j] for j in range(1, n // i + 1))
+                  for i in range(1, n + 1))
+    if size != formula:
+        raise AssertionError(f"|R_N| = {size} != totient formula {formula}")
+
+
 def rn_set(n: int) -> CountingSet:
     """Tuples (r1, r2, r3, r4) with 1 <= r2 <= r1 <= N, (r1, r2) = 1,
     1 <= r4 <= r3 <= N/r1, (r3, r4) = 1, in lexicographic order; size
     cross-checked against the totient double-sum formula."""
-    if n < 1:
-        raise PreconditionError("rn_set requires N >= 1")
-    # the coprime pairs (r, s), 1 <= s <= r <= N, in lexicographic order;
-    # both halves of a tuple are such pairs, the second with r <= N/r1
-    gcd = math.gcd
-    pairs = [(r, s) for r in range(1, n + 1) for s in range(1, r + 1) if gcd(r, s) == 1]
-    upto = [bisect.bisect_left(pairs, (m + 1,)) for m in range(n + 1)]  # r <= m
+    pairs, upto = _rn_pairs(n)
     tuples = tuple([a + b for a in pairs for b in pairs[:upto[n // a[0]]]])
-    phi = totients(n)
-    formula = sum(phi[i] * sum(phi[j] for j in range(1, n // i + 1))
-                  for i in range(1, n + 1))
-    if len(tuples) != formula:
-        raise AssertionError(f"|R_N| = {len(tuples)} != totient formula {formula}")
+    _check_rn_size(n, len(tuples))
     return CountingSet("R_N", n, tuples)
 
 
@@ -226,22 +236,34 @@ def rn_two_to_one_check(n: int, max_n: int = 400) -> TwoToOneReport:
     in singleton fibers."""
     if n > max_n:
         raise PreconditionError(f"rn_two_to_one_check is exhaustive only up to N={max_n}")
-    tuples = rn_set(n).tuples
-    # every coordinate of f(u) lies in [0, 2N]: one int in base 2N + 1 keys it
+    pairs, upto = _rn_pairs(n)
+    # every coordinate of f(u) = (r2*r4, r2*r3 + r1*r4, r1*r3) lies in [0, 2N],
+    # so in base B = 2N + 1 the image of u is the one int
+    # (r2*B + r1)*(r4*B + r3): the product of the keys of its two pairs
     base = 2 * n + 1
-    images = [(r2 * r4 * base + r2 * r3 + r1 * r4) * base + r1 * r3
-              for r1, r2, r3, r4 in tuples]
+    keys = [s * base + r for r, s in pairs]
+    # R_N in rn_set's order, by first pair (key a) grouped on r1; each tuple
+    # is recorded as its image and a
+    images: list[int] = []
+    heads: list[int] = []
+    for r1 in range(1, n + 1):
+        firsts, seconds = keys[upto[r1 - 1]:upto[r1]], keys[:upto[n // r1]]
+        a = list(itertools.chain.from_iterable(map(repeat, firsts, repeat(len(seconds)))))
+        images += map(mul, a, seconds * len(firsts))
+        heads += a
+    _check_rn_size(n, len(images))
     sizes = Counter(images)
-    # a size-2 fiber is its (first, last) pair: last must be first swapped
-    first = dict(zip(reversed(images), reversed(tuples)))
-    last = dict(zip(images, tuples))
-    swap_ok = all(last[y] == (u[2], u[3], u[0], u[1])
-                  for y, u in first.items() if sizes[y] == 2)
-    head, tail = operator.itemgetter(0, 1), operator.itemgetter(2, 3)
-    diagonal = itertools.compress(images, map(operator.eq, map(head, tuples),
-                                              map(tail, tuples)))
-    diagonal_ok = all(sizes[y] == 1 for y in diagonal)
-    return TwoToOneReport(n, len(tuples), len(sizes), max(sizes.values()),
+    # a size-2 fiber is its (first, last) pair of tuples, and a tuple of the
+    # fiber of y is fixed by its first key a (its second is y // a): last is
+    # first swapped when its first key is the second key of first
+    first = dict(zip(reversed(images), reversed(heads)))
+    last = dict(zip(images, heads))
+    twos = list(itertools.compress(sizes, map(eq, sizes.values(), repeat(2))))
+    swap_ok = (list(map(last.__getitem__, twos))
+               == list(map(floordiv, twos, map(first.__getitem__, twos))))
+    # the diagonal tuples (r1, r2, r1, r2) are those with r1 <= sqrt(N)
+    diagonal_ok = all(sizes[a * a] == 1 for a in keys[:upto[math.isqrt(n)]])
+    return TwoToOneReport(n, len(images), len(sizes), max(sizes.values()),
                           swap_ok, diagonal_ok)
 
 
@@ -333,31 +355,36 @@ def delta_c_set(c: QuadElem, ring: RingOfIntegers, k_bound: int, n_bound: int,
         p0, p1, q = p0 * p0 - n * p1 * p1, 2 * p0 * p1 + t * p1 * p1, q * q
         g = gcd(p0, p1, q)
         powers.append((p0 // g, p1 // g, q // g))
+    # the lattice points i + j*omega as two parallel lists; over Z, j = 0
     ks = range(-k_bound, k_bound + 1)
-    js = (0,) if ring.is_rational else ks
-    values: set[tuple[int, int, int]] = set()
+    if not ring.is_rational:
+        lattice_i = list(itertools.chain.from_iterable(map(repeat, ks, repeat(len(ks)))))
+        lattice_j = list(ks) * len(ks)
+    values: dict[tuple[int, int, int], Union[float, complex]] = {}
     for p0, p1, q in powers:
         # m1*(i + j*omega)*(p0 + p1*omega)/q with omega^2 = t*omega - n
         u0, v0, u1, v1 = m1 * p0, m1 * n * p1, m1 * p1, m1 * (p0 + t * p1)
-        for i in ks:
-            a0, a1 = i * u0, i * u1
-            for j in js:
-                x0, x1 = a0 - j * v0, a1 + j * v1
-                g = gcd(x0, x1, q)
-                values.add((x0 // g, x1 // g, q // g))
-    coords = list(values)
-    embed = basis.embed_coords
-    embedded = [embed(*x) for x in coords]
-    keys = ([(z.real, z.imag) for z in embedded] if basis.field.is_imaginary
-            else embedded)
+        if ring.is_rational:
+            x0, x1 = list(map(mul, ks, repeat(u0))), list(map(mul, ks, repeat(u1)))
+        else:
+            x0 = list(map(sub, map(mul, lattice_i, repeat(u0)),
+                          map(mul, lattice_j, repeat(v0))))
+            x1 = list(map(add, map(mul, lattice_i, repeat(u1)),
+                          map(mul, lattice_j, repeat(v1))))
+        g = list(map(gcd, x0, x1, repeat(q)))
+        x0, x1, den = (list(map(floordiv, col, g)) for col in (x0, x1, repeat(q)))
+        values.update(zip(zip(x0, x1, den), basis.embed_values(x0, x1, den)))
+    coords, embedded = list(values), list(values.values())
+    keys = (list(zip(map(attrgetter("real"), embedded), map(attrgetter("imag"), embedded)))
+            if basis.field.is_imaginary else embedded)
     order = sorted(range(len(coords)), key=keys.__getitem__)
     if len(set(keys)) < len(keys):
         # equal embeddings keep the exact order of QuadElem's a, then b
         exact = basis.sqrt_terms
         order = [k for _, run in itertools.groupby(order, keys.__getitem__)
                  for k in sorted(run, key=lambda k: exact(*coords[k]))]
-    return DeltaCSet(basis, tuple(coords[k] for k in order),
-                     tuple(embedded[k] for k in order))
+    return DeltaCSet(basis, tuple(map(coords.__getitem__, order)),
+                     tuple(map(embedded.__getitem__, order)))
 
 
 def is_delta_c_member(z: QuadElem, c: QuadElem, ring: RingOfIntegers,

@@ -7,10 +7,12 @@ import argparse
 import csv
 import math
 import io
+import itertools
 import json
 import os
 import sys
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__
@@ -79,27 +81,36 @@ def _ring_from_flag(text: str) -> RingOfIntegers:
     return ring_of_integers(FieldDesc(int(text)))
 
 
-Rows = Callable[[], Iterable[Sequence]]
+def _csv(rows: Iterable[Sequence]) -> str:
+    """CSV text of rows, one line each."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _data(rows: Iterable[Sequence]) -> str:
+    """Whitespace-separated text of rows, one line each."""
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+Table = Callable[[], str]
 
 
 class Report:
     """One deterministic result: a JSON object, and the CSV and data tables
-    as zero-argument builders, so that a format builds only what it prints."""
+    as zero-argument builders of their text, so that a format builds only
+    what it prints."""
 
-    def __init__(self, payload: dict, csv_rows: Rows, data_rows: Rows):
+    def __init__(self, payload: dict, csv_table: Table, data_table: Table):
         self.payload = payload
-        self.csv_rows = csv_rows
-        self.data_rows = data_rows
+        self.csv_table = csv_table
+        self.data_table = data_table
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
             obj = {"version": __version__, **self.payload}
             return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-        if fmt == "csv":
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerows(self.csv_rows())
-            return buf.getvalue()
-        return "".join(" ".join(map(str, row)) + "\n" for row in self.data_rows())
+        return self.csv_table() if fmt == "csv" else self.data_table()
 
 
 def _emit(report: Report, args) -> None:
@@ -109,6 +120,22 @@ def _emit(report: Report, args) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _delta_c_rows(dset, sep: str, texts: Sequence[str] = ()) -> str:
+    """The rows of a DeltaCSet table, one line per value: its text from
+    `texts` (when given), then the real and imaginary parts of its embedding
+    as _dec writes them (the imaginary part of a real embedding is 0), all
+    separated by `sep`. One %-format over the whole table writes them."""
+    row, columns = ("%s" + sep, [texts]) if texts else ("", [])
+    if dset.ring.field.is_imaginary:
+        row += f"%.17g{sep}%.17g\n"
+        columns += [map(attrgetter("real"), dset.embedded),
+                    map(attrgetter("imag"), dset.embedded)]
+    else:
+        row += f"%.17g{sep}0\n"
+        columns.append(dset.embedded)
+    return (row * len(dset)) % tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
 def _embedded_rows(values) -> list[list]:
@@ -134,8 +161,8 @@ def cmd_enumerate(args) -> Report:
         "complete": ball.complete,
         "per_radius": [{"radius": r, "cumulative": c} for r, c in per_radius],
     }
-    return Report(payload, lambda: [["radius", "cumulative_size"], *per_radius],
-                  lambda: per_radius)
+    return Report(payload, lambda: _csv([["radius", "cumulative_size"], *per_radius]),
+                  lambda: _data(per_radius))
 
 
 def cmd_traces(args) -> Report:
@@ -153,8 +180,8 @@ def cmd_traces(args) -> Report:
                     "im": _json_number(float(r[2])), "word_length": r[3]}
                    for r in rows],
     }
-    return Report(payload, lambda: [["trace", "re", "im", "word_length"], *rows],
-                  lambda: (r[1:3] for r in rows))
+    return Report(payload, lambda: _csv([["trace", "re", "im", "word_length"], *rows]),
+                  lambda: _data(r[1:3] for r in rows))
 
 
 def cmd_cluster(args) -> Report:
@@ -177,9 +204,9 @@ def cmd_cluster(args) -> Report:
         "growth_slope": _json_number(slope),
     }
     return Report(payload,
-                  lambda: [["cell", "m", "n", "count"],
-                           *([idx, m, n, cnt] for idx, ((m, n), cnt) in enumerate(cells))],
-                  lambda: ([m, n, cnt] for (m, n), cnt in cells))
+                  lambda: _csv([["cell", "m", "n", "count"],
+                                *([idx, m, n, cnt] for idx, ((m, n), cnt) in enumerate(cells))]),
+                  lambda: _data([m, n, cnt] for (m, n), cnt in cells))
 
 
 def cmd_gap(args) -> Report:
@@ -190,7 +217,7 @@ def cmd_gap(args) -> Report:
     payload = {"command": "gap", "group": spec.name, "radius": ball.radius,
                "n_traces": ts.size, "gap": val}
     row = [ball.radius, _dec(val)]
-    return Report(payload, lambda: [["radius", "gap"], row], lambda: [row])
+    return Report(payload, lambda: _csv([["radius", "gap"], row]), lambda: _data([row]))
 
 
 def cmd_growth(args) -> Report:
@@ -204,7 +231,7 @@ def cmd_growth(args) -> Report:
         "counts": [{"n": n, "count": c} for n, c in counts],
         "slope": _json_number(slope),
     }
-    return Report(payload, lambda: [["n", "count"], *counts], lambda: counts)
+    return Report(payload, lambda: _csv([["n", "count"], *counts]), lambda: _data(counts))
 
 
 def cmd_arith_check(args) -> Report:
@@ -221,8 +248,8 @@ def cmd_arith_check(args) -> Report:
                 ["verdict", report.verdict],
                 ["conjugate_flag", growth.flag],
                 ["elementary", report.elementary]]
-    return Report(payload, lambda: csv_rows,
-                  lambda: ([s, _dec(m)] for s, m in zip(growth.shells, growth.maxima)))
+    return Report(payload, lambda: _csv(csv_rows),
+                  lambda: _data([s, _dec(m)] for s, m in zip(growth.shells, growth.maxima)))
 
 
 # |z| above 2^1026 has no finite embedding, whatever rounding the float
@@ -266,8 +293,8 @@ def cmd_delta_c(args) -> Report:
             "points": [r[0] for r in rows],
             "max_deviation": wit.max_deviation(),
         }
-        return Report(payload, lambda: [["point", "re", "im"], *rows],
-                      lambda: (r[1:] for r in rows))
+        return Report(payload, lambda: _csv([["point", "re", "im"], *rows]),
+                      lambda: _data(r[1:] for r in rows))
     if _beyond_float_range(c, args.k_bound, args.n_bound, args.m1):
         raise PreconditionError("cluster_counts requires finite points")
     dset = delta_c_set(c, ring, args.k_bound, args.n_bound, m1=args.m1)
@@ -282,18 +309,10 @@ def cmd_delta_c(args) -> Report:
         "max_count": grid.max_count,
         "cells_touched": grid.cells_touched,
     }
-
-    def csv_rows():
-        text = dset.ring.format_coords
-        yield ["value", "re", "im"]
-        for x, z in zip(dset.coords, map(complex, dset.embedded)):
-            yield [text(*x), _dec(z.real), _dec(z.imag)]
-
-    def data_rows():
-        for z in map(complex, dset.embedded):
-            yield [_dec(z.real), _dec(z.imag)]
-
-    return Report(payload, csv_rows, data_rows)
+    return Report(payload,
+                  lambda: "value,re,im\n" + _delta_c_rows(
+                      dset, ",", dset.ring.format_values(dset.coords)),
+                  lambda: _delta_c_rows(dset, " "))
 
 
 def cmd_counting(args) -> Report:
@@ -302,13 +321,14 @@ def cmd_counting(args) -> Report:
         ds = dn_set(n)
         payload = {"command": "counting", "kind": "dn", "N": n, "size": ds.size,
                    "lower_bound": n * math.log(n) - n}
-        return Report(payload, lambda: [["k", "l"], *ds.tuples], lambda: ds.tuples)
+        return Report(payload, lambda: _csv([["k", "l"], *ds.tuples]),
+                      lambda: _data(ds.tuples))
     if args.kind == "rn":
         rs = rn_set(n)  # rn_set checks its size against the totient formula
         payload = {"command": "counting", "kind": "rn", "N": n, "size": rs.size,
                    "totient_formula": rs.size, "ratio_n2": rs.size / (n * n)}
-        return Report(payload, lambda: [["r1", "r2", "r3", "r4"], *rs.tuples],
-                      lambda: rs.tuples)
+        return Report(payload, lambda: _csv([["r1", "r2", "r3", "r4"], *rs.tuples]),
+                      lambda: _data(rs.tuples))
     if args.kind == "two-to-one":
         rep = rn_two_to_one_check(n)
         payload = {"command": "counting", "kind": "two-to-one", "N": n,
@@ -318,7 +338,8 @@ def cmd_counting(args) -> Report:
                    "diagonal_ok": rep.diagonal_ok, "ok": rep.ok}
         rows = [["n_tuples", rep.n_tuples], ["n_fibers", rep.n_fibers],
                 ["max_fiber_size", rep.max_fiber_size], ["ok", rep.ok]]
-        return Report(payload, lambda: [["key", "value"], *rows], lambda: rows)
+        return Report(payload, lambda: _csv([["key", "value"], *rows]),
+                      lambda: _data(rows))
     rep = totient_sum_check(n)
     payload = {"command": "counting", "kind": "totient", "N": n,
                "sum_phi": rep.sum_phi,
@@ -328,7 +349,7 @@ def cmd_counting(args) -> Report:
     rows = [["sum_phi", rep.sum_phi],
             ["ratio", _dec(rep.ratio_to_asymptotic)],
             ["pointwise_ok", rep.pointwise_ok]]
-    return Report(payload, lambda: [["key", "value"], *rows], lambda: rows)
+    return Report(payload, lambda: _csv([["key", "value"], *rows]), lambda: _data(rows))
 
 
 def cmd_kronecker(args) -> Report:
@@ -343,7 +364,7 @@ def cmd_kronecker(args) -> Report:
     def rows():
         return ([k, _dec(m)] for k, m in env)
 
-    return Report(payload, lambda: [["K", "min"], *rows()], rows)
+    return Report(payload, lambda: _csv([["K", "min"], *rows()]), lambda: _data(rows()))
 
 
 def cmd_corollary(args) -> Report:
@@ -362,7 +383,7 @@ def cmd_corollary(args) -> Report:
     rows = [["closed", rep.closed], ["has_two", rep.has_two],
             ["has_four", rep.has_four], ["identities_ok", rep.identities_ok],
             ["pairs_checked", rep.pairs_checked]]
-    return Report(payload, lambda: [["key", "value"], *rows], lambda: rows)
+    return Report(payload, lambda: _csv([["key", "value"], *rows]), lambda: _data(rows))
 
 
 # -- argument parsing --------------------------------------------------------

@@ -1,12 +1,17 @@
+import contextlib
+import csv
+import io
 import math
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
 import pytest
 
-from tracelab import FieldDesc, Mat2, QQ, QuadElem, canonical_trace
+from tracelab import FieldDesc, Mat2, PreconditionError, QQ, QuadElem, canonical_trace
+from tracelab.cli import main
 
 
 def rand_fraction(rng: random.Random, num_max: int = 12, den_max: int = 12) -> Fraction:
@@ -193,6 +198,74 @@ def delta_c_reference(c: QuadElem, ring, k_bound: int, n_bound: int,
             for j in range(-k_bound, k_bound + 1):
                 values.add(base + scaled * ring.omega * j)
     return sorted(values, key=delta_c_sort_key)
+
+
+# -- the row-by-row Delta_c table: the reference for `delta-c` csv and data --
+
+def _int_text(n: int) -> str:
+    """Decimal digits of n, past the interpreter's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def _rat_text(x: Fraction) -> str:
+    text = _int_text(x.numerator)
+    return text if x.denominator == 1 else f"{text}/{_int_text(x.denominator)}"
+
+
+def reference_text(x: QuadElem) -> str:
+    """The canonical text a + b*sqrt(d) of x, from its Fractions a and b."""
+    a, b = x.a, x.b
+    if not b:
+        return _rat_text(a)
+    coef = "" if abs(b) == 1 else f"{_rat_text(abs(b))}*"
+    root = f"{coef}sqrt({x.field.d})"
+    if not a:
+        return root if b > 0 else f"-{root}"
+    return f"{_rat_text(a)}{'+' if b > 0 else '-'}{root}"
+
+
+def _dec(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def delta_c_tables_reference(c: QuadElem, ring, k_bound: int, n_bound: int,
+                             m1: int) -> dict[str, str]:
+    """The csv and data tables of `delta-c`, each written one row at a time
+    (csv through csv.writer), from the QuadElem reference set
+    (delta_c_reference)."""
+    rows = [[reference_text(v), _dec(z.real), _dec(z.imag)]
+            for v, z in ((v, complex(v.embed()))
+                         for v in delta_c_reference(c, ring, k_bound, n_bound, m1))]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([["value", "re", "im"], *rows])
+    return {"csv": buf.getvalue(),
+            "data": "".join(" ".join(row[1:]) + "\n" for row in rows)}
+
+
+def cli_output(argv) -> tuple[int, str]:
+    """Exit code and stdout of the tracelab command line."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+# -- the point-by-point loop: the reference for cluster_counts ------------
+
+def cluster_counts_reference(points) -> tuple[dict, int, int]:
+    """(counts per half-open unit cell, max count, cells touched)."""
+    counts: dict = {}
+    for p in points:
+        z = complex(p)
+        try:
+            cell = (math.floor(z.real), math.floor(z.imag))
+        except (OverflowError, ValueError):
+            raise PreconditionError("cluster_counts requires finite points") from None
+        counts[cell] = counts.get(cell, 0) + 1
+    return counts, max(counts.values(), default=0), len(counts)
 
 
 # -- the exhaustive loops: the reference for kronecker_gap_demo, rn_set and

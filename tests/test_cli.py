@@ -363,6 +363,17 @@ class TestValuesBeyondLimits:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "bit budget" in err
 
+    def test_witness_denominator_past_factor_bound_is_3_at_once(self, capsys):
+        # 10^30 + 57 has no prime factor below FACTOR_BOUND; trial division
+        # would go on toward its square root, about 10^15
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["delta-c", "--c", "1/1000000000000000000000000000057",
+                                  "--ring", "Z", "--witness", "1"], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "trial-division bound" in err
+
     def test_embedding_nan_is_4(self, capsys):
         # both coefficients of c^(2^11) overflow a float with opposite signs,
         # so the embedding is inf - inf, though |c^(2^11)| is tiny

@@ -10,6 +10,7 @@ an intended output change, and say so in CHANGES.md:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import csv
 import re
 import sys
 from pathlib import Path
@@ -67,12 +68,20 @@ def test_output_matches_golden(argv, fmt, tmp_path):
     assert out.read_bytes() == golden_path(argv, fmt).read_bytes()
 
 
+def test_golden_csv_cells_need_no_quoting():
+    # `delta-c` writes its table without csv.writer: csv.reader must read
+    # every golden table back as the cells that split(",") gives
+    for path in sorted(GOLDEN_DIR.glob("*.csv")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert list(csv.reader(lines)) == [line.split(",") for line in lines], path.name
+
+
 DELTA_C_SET_CASES = [argv for argv in CLI_COMMANDS + DELTA_C_SET_COMMANDS
                      if argv[0] == "delta-c" and "--witness" not in argv]
 
 
 @pytest.mark.parametrize("fmt, unused", [
-    ("json", ("format_coords", "_dec")), ("data", ("format_coords",))])
+    ("json", ("format_values", "_delta_c_rows")), ("data", ("format_values",))])
 @pytest.mark.parametrize("argv", DELTA_C_SET_CASES,
                          ids=[golden_path(a, "").stem for a in DELTA_C_SET_CASES])
 def test_delta_c_builds_only_the_table_it_prints(argv, fmt, unused, monkeypatch,
@@ -81,7 +90,7 @@ def test_delta_c_builds_only_the_table_it_prints(argv, fmt, unused, monkeypatch,
     def refuse(*args):
         raise AssertionError(f"delta-c --format {fmt} built text it does not print")
     for name in unused:
-        monkeypatch.setattr(RingOfIntegers if name == "format_coords" else cli,
+        monkeypatch.setattr(RingOfIntegers if name == "format_values" else cli,
                             name, refuse)
     out = tmp_path / "out"
     assert main(argv + ["--format", fmt, "--output", str(out)]) == 0

@@ -24,7 +24,8 @@ from tracelab.cli import _beyond_float_range
 from tracelab.groups import group_spec_from_dict
 from tracelab.qfield import embedded_sign
 
-from conftest import (FracQuad, delta_c_reference, kronecker_reference, mat2_canonical,
+from conftest import (FracQuad, cli_output, cluster_counts_reference, delta_c_reference,
+                      delta_c_tables_reference, kronecker_reference, mat2_canonical,
                       mat2_is_identity, mat2_least_traces)
 
 FIELDS = (QQ, FieldDesc(-1), FieldDesc(-3), FieldDesc(2), FieldDesc(5))
@@ -254,8 +255,83 @@ def test_delta_c_set_agrees_with_quadelem_path(drawn):
     assert len(dset) == len(expected)
     assert dset.values() == expected
     assert list(dset.embedded) == [v.embed() for v in expected]
-    assert [dset.ring.format_coords(*x) for x in dset.coords] == [
+    assert dset.ring.format_values(dset.coords) == [
         format_quadelem(v) for v in expected]
+
+
+# c over Z (rational, or in Q(sqrt(5))), over Z[i] and over Z[(1+sqrt(-3))/2],
+# as (field of c, --ring flag)
+DELTA_C_TABLE_RINGS = ((None, "Z"), (5, "Z"), (-1, "-1"), (-3, "-3"))
+
+
+def _ring_of_flag(flag):
+    return RingOfIntegers.integers() if flag == "Z" else ring_of_integers(FieldDesc(int(flag)))
+
+
+def _assert_delta_c_tables_match(c, flag, k_bound, n_bound, m1=1):
+    argv = [f"--c={format_quadelem(c)}", "--ring", flag, "--k-bound", str(k_bound),
+            "--n-bound", str(n_bound), "--m1", str(m1)]
+    expected = delta_c_tables_reference(c, _ring_of_flag(flag), k_bound, n_bound, m1)
+    for fmt, table in expected.items():
+        assert cli_output(["delta-c", *argv, "--format", fmt]) == (0, table)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(DELTA_C_TABLE_RINGS), delta_c_coefs, delta_c_coefs,
+       st.integers(1, 4), st.integers(1, 3), st.sampled_from((1, 2, 3)))
+def test_delta_c_tables_match_the_row_by_row_writer(ring, a, b, k_bound, n_bound, m1):
+    d, flag = ring
+    c = QuadElem.of(a, 0 if d is None else b, QQ if d is None else FieldDesc(d))
+    _assert_delta_c_tables_match(c, flag, k_bound, n_bound, m1)
+
+
+TINY = Fraction(1, 10 ** 20)
+
+
+@pytest.mark.parametrize("c, flag, k_bound, n_bound", [
+    # the seeded benchmark inputs at seed 1
+    (QuadElem.of(Fraction(8, 3)), "Z", 10000, 4),
+    (QuadElem.of(Fraction(1, 3), Fraction(-4, 3), FieldDesc(-1)), "-1", 40, 3),
+    # value text of 4,935 characters, past the 4,300-digit limit, and
+    # embeddings that print 0 and -0
+    (QuadElem.of(Fraction(1, 2)), "Z", 1, 14),
+    # equal embeddings, ordered by the exact value
+    (QuadElem.of(1 + TINY), "Z", 2, 2),
+    (QuadElem.of(1 + TINY, TINY, FieldDesc(-1)), "-1", 2, 2),
+    (QuadElem.of(1 + TINY, TINY, FieldDesc(5)), "Z", 2, 2),
+], ids=["seeded-Z", "seeded-Zi", "digit-limit", "ties-Z", "ties-Zi", "ties-Z-sqrt5"])
+def test_delta_c_tables_match_the_row_by_row_writer_at_fixed_inputs(c, flag, k_bound,
+                                                                   n_bound):
+    _assert_delta_c_tables_match(c, flag, k_bound, n_bound)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+near_integers = st.builds(lambda k, up: math.nextafter(float(k), math.inf if up else -math.inf),
+                          st.integers(-10 ** 6, 10 ** 6), st.booleans())
+cluster_points = st.lists(
+    st.sampled_from((0.0, -0.0)) | finite_floats | near_integers
+    | st.integers(-10 ** 20, 10 ** 20) | st.builds(Fraction, small_ints, st.integers(1, 7))
+    | st.builds(complex, finite_floats | near_integers, finite_floats | near_integers),
+    max_size=40)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(cluster_points)
+def test_cluster_counts_matches_the_point_by_point_loop(points):
+    grid = cluster_counts(iter(points))
+    assert (grid.counts, grid.max_count, grid.cells_touched) == \
+        cluster_counts_reference(points)
+    assert list(grid.counts) == list(cluster_counts_reference(points)[0])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0, math.inf),
+                                 complex(math.nan, 0)])
+def test_cluster_counts_of_non_finite_points_is_a_precondition_error(bad):
+    for points in ([bad], [0.5, bad, 1.5]):
+        with pytest.raises(PreconditionError, match="finite points"):
+            cluster_counts(points)
+        with pytest.raises(PreconditionError, match="finite points"):
+            cluster_counts_reference(points)
 
 
 @settings(max_examples=40, deadline=None, database=None)

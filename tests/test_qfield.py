@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from tracelab import (FieldDesc, FieldMismatchError, PreconditionError, QQ,
+from tracelab import (BudgetExceededError, FieldDesc, FieldMismatchError,
+                      PreconditionError, QQ,
                       QuadElem, RingOfIntegers, UnsupportedRingError, bezout,
                       bezout_bounded, format_quadelem, m1_constant,
                       m2_constant, parse_quadelem, ring_of_integers)
-from tracelab.qfield import divides, divmod_ring, gcd_ring, is_primary
+from tracelab.qfield import (FACTOR_BOUND, divides, divmod_ring, gcd_ring, is_primary,
+                             prime_power_factor)
 
 from conftest import rand_elem
 
@@ -308,6 +310,51 @@ class TestBezoutBounded:
                 m2 = m2_constant(ring)
                 assert abs(complex(v.embed())) <= m2 * abs(complex(r.embed())) + 1e-9
                 checked += 1
+
+
+def least_prime_of_norm(ell, x, ring):
+    """The first m + n*omega, in the order of (m, n) over a box that holds
+    every element of norm ell, with norm ell that divides x, or None."""
+    b = 2 * math.isqrt(ell) + 6
+    return next((p for m in range(-b, b + 1) for n in range(-b, b + 1)
+                 for p in (ring.element(m, n),)
+                 if p.norm() == ell and divides(p, x, ring)), None)
+
+
+class TestPrimePowerFactor:
+    @pytest.mark.parametrize("d", [-1, -2, -3, -7, -11])
+    def test_prime_of_norm_ell_is_the_least_in_the_box(self, d):
+        ring = ring_of_integers(FieldDesc(d))
+        for m in range(-7, 8):
+            for n in range(-7, 8):
+                x = ring.element(m, n)
+                if x.is_zero() or ring.is_unit(x):
+                    continue
+                norm = int(x.norm())
+                ell = next(k for k in range(2, norm + 1) if norm % k == 0)
+                pi = least_prime_of_norm(ell, x, ring) or QuadElem.rational(ell, ring.field)
+                pe = prime_power_factor(x, ring)
+                assert divides(pe, x, ring) and not divides(pe * pi, x, ring)
+                assert any(pe == pi ** e for e in range(1, 8))
+
+    def test_exact_below_the_square_of_the_bound(self):
+        assert FACTOR_BOUND == 2 ** 17
+        zz = RingOfIntegers.integers()
+        prime = 2 ** 34 - 41  # the largest prime below FACTOR_BOUND^2
+        assert prime_power_factor(zz.element(prime), zz) == zz.element(prime)
+        assert prime_power_factor(zz.element(2 * prime), zz) == zz.element(2)
+        gauss = ring_of_integers(FI)
+        x = gauss.element(131071, 0)  # a prime below the bound, inert in Z[i]
+        assert prime_power_factor(x, gauss) == x
+
+    def test_past_the_bound_is_budget_exceeded(self):
+        # 131101 and 131111 are the least primes above FACTOR_BOUND
+        zz = RingOfIntegers.integers()
+        with pytest.raises(BudgetExceededError, match="trial-division bound"):
+            prime_power_factor(zz.element(131101 * 131111), zz)
+        gauss = ring_of_integers(FI)
+        with pytest.raises(BudgetExceededError, match="trial-division bound"):
+            prime_power_factor(gauss.element(131101, 0), gauss)
 
 
 class TestEmbed:

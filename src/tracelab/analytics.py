@@ -42,10 +42,9 @@ class ClusterGrid:
 
 def cluster_counts(points: Iterable[Number]) -> ClusterGrid:
     zs = list(map(complex, points))
-    floor = math.floor
     try:
-        counts = Counter(zip(map(floor, map(attrgetter("real"), zs)),
-                             map(floor, map(attrgetter("imag"), zs))))
+        counts = Counter(zip(map(math.floor, map(attrgetter("real"), zs)),
+                             map(math.floor, map(attrgetter("imag"), zs))))
     except (OverflowError, ValueError):  # an infinite or NaN coordinate
         raise PreconditionError("cluster_counts requires finite points") from None
     max_count = max(counts.values(), default=0)

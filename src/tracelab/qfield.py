@@ -130,8 +130,8 @@ class QuadElem:
         ring = _ring_of(field)
         if b and ring.is_rational:
             raise ValueError("rational-field element must have b == 0")
-        t, s = ring.doubled(0, 1)  # 2*omega = t + s*sqrt(d)
-        return QuadElem.rational(a, field) + (2 * ring.omega - t) * (Fraction(b) / s)
+        return (QuadElem.rational(a, field)
+                + (2 * ring.omega - ring.t) * (Fraction(b) / ring.s))
 
     @staticmethod
     def rational(a: Rational, field: FieldDesc = QQ) -> QuadElem:
@@ -465,7 +465,7 @@ class RingOfIntegers:
         if self.is_rational:
             try:  # x0 or x0/den, as _format_terms writes them
                 return [f"{x0}" if den == 1 else f"{x0}/{den}" for x0, _, den in coords]
-            except ValueError:  # past the int-to-str digit limit, which it handles
+            except ValueError:  # past the int-to-str digit limit: see _format_terms
                 return _format_terms([(x0, den, 0, 1) for x0, _, den in coords], None)
         return _format_terms(list(itertools.starmap(self.sqrt_terms, coords)),
                              self.field.d)
@@ -628,10 +628,10 @@ def divides(x: QuadElem, y: QuadElem, ring: RingOfIntegers) -> bool:
 
 # prime_power_factor finds the least prime factor of n = |x| over Z, and of
 # n = N(x) otherwise, by trial division with k < this bound: exact for
-# n < FACTOR_BOUND^2, BudgetExceededError past that. The division and the
-# search for a prime of norm ell < FACTOR_BOUND^2 over an imaginary ring
-# (O(sqrt(ell)) steps) each take at most about 0.1 s on a 2-core x86-64 VM
-# (Python 3.11)
+# n < FACTOR_BOUND^2, BudgetExceededError past that. On a 2-core x86-64 VM
+# (Python 3.11) the division takes at most about 0.015 s, and the search
+# for a prime of norm ell < FACTOR_BOUND^2 over an imaginary ring, in
+# O(sqrt(ell)) steps, at most about 0.1 s
 FACTOR_BOUND = 2 ** 17
 
 

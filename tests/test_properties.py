@@ -4,9 +4,10 @@ invariants of products, agreement of the integer-coordinate ProjMat with
 the Mat2 path, and invariance of the trace set under the choice of
 generators, the shared embedded-sign rule against a high-precision
 evaluation, QuadElem against the Fraction reference path, delta_c_set
-against the QuadElem reference path, the early
-float-range exit of `delta-c` against the exact path, and the bisected
-Kronecker envelope against the exhaustive loop."""
+against the QuadElem reference path, the `delta-c` csv and data tables
+against the row-by-row writer, cluster_counts against the point-by-point
+loop, the early float-range exit of `delta-c` against the exact path, and
+the bisected Kronecker envelope against the exhaustive loop."""
 
 import math
 from fractions import Fraction
@@ -20,7 +21,7 @@ from tracelab import (QQ, FieldDesc, GroupSpec, Mat2, PreconditionError, ProjMat
                       delta_c_set, enumerate_ball, format_mat2, format_quadelem,
                       kronecker_gap_demo,
                       parse_mat2, parse_quadelem, ring_of_integers, trace_set)
-from tracelab.cli import _beyond_float_range
+from tracelab.cli import _beyond_float_range, _ring_from_flag
 from tracelab.groups import group_spec_from_dict
 from tracelab.qfield import embedded_sign
 
@@ -264,14 +265,10 @@ def test_delta_c_set_agrees_with_quadelem_path(drawn):
 DELTA_C_TABLE_RINGS = ((None, "Z"), (5, "Z"), (-1, "-1"), (-3, "-3"))
 
 
-def _ring_of_flag(flag):
-    return RingOfIntegers.integers() if flag == "Z" else ring_of_integers(FieldDesc(int(flag)))
-
-
 def _assert_delta_c_tables_match(c, flag, k_bound, n_bound, m1=1):
     argv = [f"--c={format_quadelem(c)}", "--ring", flag, "--k-bound", str(k_bound),
             "--n-bound", str(n_bound), "--m1", str(m1)]
-    expected = delta_c_tables_reference(c, _ring_of_flag(flag), k_bound, n_bound, m1)
+    expected = delta_c_tables_reference(c, _ring_from_flag(flag), k_bound, n_bound, m1)
     for fmt, table in expected.items():
         assert cli_output(["delta-c", *argv, "--format", fmt]) == (0, table)
 
@@ -318,10 +315,10 @@ cluster_points = st.lists(
 @settings(max_examples=100, deadline=None, database=None)
 @given(cluster_points)
 def test_cluster_counts_matches_the_point_by_point_loop(points):
+    counts, max_count, cells = cluster_counts_reference(points)
     grid = cluster_counts(iter(points))
-    assert (grid.counts, grid.max_count, grid.cells_touched) == \
-        cluster_counts_reference(points)
-    assert list(grid.counts) == list(cluster_counts_reference(points)[0])
+    assert (grid.counts, grid.max_count, grid.cells_touched) == (counts, max_count, cells)
+    assert list(grid.counts) == list(counts)  # the same cell order
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0, math.inf),

@@ -15,10 +15,8 @@ from itertools import repeat
 from operator import add, attrgetter, eq, floordiv, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
-import mpmath
-
 from .errors import BudgetExceededError, FieldMismatchError, PreconditionError
-from .qfield import (QuadElem, RingOfIntegers, bezout_bounded, gcd_ring,
+from .qfield import (QuadElem, RingOfIntegers, _bezout_bounded_unchecked, gcd_ring,
                      m2_constant, prime_power_factor)
 
 Number = Union[int, float, complex, Fraction]
@@ -413,12 +411,14 @@ class DeltaWitness:
 
     def max_deviation(self) -> float:
         """max_j |z_j - z_0| at 30 significant digits."""
+        import mpmath  # imported where used: it takes tens of ms to load
         with mpmath.workdps(30):
             return max(float(_abs_mp(zj - self.points[0])) for zj in self.points)
 
 
 def _abs_mp(x: QuadElem):
     """|x| for x of Q or an imaginary quadratic field, where |x|^2 = N(x)."""
+    import mpmath
     n = x.norm()
     return mpmath.sqrt(mpmath.mpf(n.numerator) / mpmath.mpf(n.denominator))
 
@@ -487,6 +487,7 @@ def delta_c_cluster_witness(c: QuadElem, ring: RingOfIntegers, n: int,
             k += 1
         if (2 ** k - 1) * log_q < target + 1e-9:
             # near-tie: re-decide at high precision
+            import mpmath
             with mpmath.workdps(80):
                 lq = mpmath.log(_abs_mp(q))
                 tgt = (mpmath.log(2) + j * mpmath.log(big_m) + mpmath.log(_abs_mp(c))
@@ -507,7 +508,7 @@ def delta_c_cluster_witness(c: QuadElem, ring: RingOfIntegers, n: int,
     for i in range(n, 0, -1):
         r_i = p ** f[i]
         s_i = -(tail * q ** f[i])
-        u_i, v_i = bezout_bounded(r_i, s_i, q1, ring)
+        u_i, v_i = _bezout_bounded_unchecked(r_i, s_i, q1, ring)  # q1 | q | s_i
         u[i], v[i] = u_i, v_i
         tail = tail * v_i
 

@@ -8,6 +8,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import BudgetExceededError, PreconditionError
 from .psl2 import ProjMat, format_mat2, parse_mat2
@@ -144,11 +145,13 @@ def trace_set(ball: Ball, reduced: bool = True) -> TraceSet:
     # least word length per distinct trace, keyed by its exact integer form;
     # only one element per distinct trace is converted to a QuadElem
     least: dict[tuple, tuple[int, ProjMat]] = {}
+    get = least.get
     for g, wl in ball.word_length.items():
         if reduced and g.is_identity():
             continue
         key = g.trace_key()
-        if key not in least or wl < least[key][0]:
+        old = get(key)
+        if old is None or wl < old[0]:
             least[key] = (wl, g)
     prov = {g.trace(): wl for wl, g in least.values()}
     exact = _sorted_traces(prov)
@@ -160,25 +163,28 @@ def gamma2_ball(ball: Ball, pair_budget: int = 90_000) -> Ball:
     """Squares of ball elements plus pairwise products of squares drawn from
     the largest sub-ball whose square count fits the pair budget; word
     lengths are inherited from the constructions."""
+    # one lookup per product: a key already present keeps its place and
+    # takes the smaller word length
     prov: dict[ProjMat, int] = {}
-
-    def visit(g: ProjMat, wl: int):
-        if g not in prov or wl < prov[g]:
-            prov[g] = wl
-
+    get = prov.get
     squares: list[tuple[ProjMat, int]] = []
     for g, wl in ball.word_length.items():
-        sq = g * g
-        visit(sq, 2 * wl)
-        squares.append((sq, 2 * wl))
+        sq, wl = g * g, 2 * wl
+        old = get(sq)
+        if old is None or wl < old:
+            prov[sq] = wl
+        squares.append((sq, wl))
     sub_radius = max((r for r, n in ball.per_radius_counts()
                       if n * n <= pair_budget), default=0)
     sub = [(sq, wl) for (sq, wl) in squares if wl <= 2 * sub_radius]
     for s1, w1 in sub:
         for s2, w2 in sub:
-            visit(s1 * s2, w1 + w2)
+            h, wl = s1 * s2, w1 + w2
+            old = get(h)
+            if old is None or wl < old:
+                prov[h] = wl
     # deterministic order: by provenance, ties by insertion
-    return Ball(2 * ball.radius, dict(sorted(prov.items(), key=lambda kv: kv[1])))
+    return Ball(2 * ball.radius, dict(sorted(prov.items(), key=itemgetter(1))))
 
 
 # -- catalog ----------------------------------------------------------------

@@ -106,6 +106,7 @@ def canonical_trace(t: QuadElem) -> QuadElem:
 # -- PSL(2) on integer coordinates -----------------------------------------
 
 _IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
+_INTEGERS = RingOfIntegers.integers()
 
 
 class ProjMat:
@@ -129,11 +130,9 @@ class ProjMat:
             if g != 1:
                 den //= g
                 x = tuple(v // g for v in x)
-        for i in (0, 2, 4, 6):
-            if x[i] or x[i + 1]:
-                if ring.sign(x[i], x[i + 1]) < 0:
-                    x = tuple(map(operator.neg, x))
-                break
+        i = 0 if x[0] or x[1] else 2  # a or b is nonzero, as ad - bc = 1
+        if ring.sign(x[i], x[i + 1]) < 0:
+            x = tuple(map(operator.neg, x))
         self._ring = ring
         self.den = den
         self.x = x
@@ -171,6 +170,10 @@ class ProjMat:
             ring = _ring_of(_common_field(ring.field, other._ring.field))
         a0, a1, b0, b1, c0, c1, d0, d1 = self.x
         e0, e1, f0, f1, g0, g1, h0, h1 = other.x
+        if ring is _INTEGERS:  # every omega-coordinate is 0
+            return ProjMat(ring, self.den * other.den,
+                           (a0 * e0 + b0 * g0, 0, a0 * f0 + b0 * h0, 0,
+                            c0 * e0 + d0 * g0, 0, c0 * f0 + d0 * h0, 0))
         # (p0 + p1 w)(q0 + q1 w) = p0 q0 - n p1 q1 + (p0 q1 + p1 q0 + t p1 q1) w
         n, t = ring.n, ring.t
         ae, af = a1 * e1 + b1 * g1, a1 * f1 + b1 * h1

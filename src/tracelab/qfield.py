@@ -420,7 +420,16 @@ class RingOfIntegers:
 
     def sign(self, x0: int, x1: int) -> int:
         """The embedded sign (embedded_sign) of x0 + x1*omega."""
-        return embedded_sign(*self.doubled(x0, x1), self.field.d)
+        # the cases that need no comparison of squares, on the coordinates:
+        # a rational value, and over an imaginary ring the real part
+        # (2*x0 + t*x1)/2 with the imaginary part's sign that of x1
+        if not x1:
+            return (x0 > 0) - (x0 < 0)
+        d = self.field.d
+        if d < 0:
+            re = 2 * x0 + self.t * x1
+            return (re > 0) - (re < 0) or (1 if x1 > 0 else -1)
+        return embedded_sign(*self.doubled(x0, x1), d)
 
     def sqrt_terms(self, x0: int, x1: int, den: int) -> tuple[int, int, int, int]:
         """(an, ad, bn, bd) with (x0 + x1*omega)/den = an/ad + (bn/bd)*sqrt(d)
@@ -699,6 +708,13 @@ def bezout_bounded(r: QuadElem, s: QuadElem, s1: QuadElem, ring: RingOfIntegers
         raise PreconditionError("bezout_bounded requires s in the ideal (s1)")
     if not is_primary(s1, ring):
         raise PreconditionError("bezout_bounded requires (s1) primary")
+    return _bezout_bounded_unchecked(r, s, s1, ring)
+
+
+def _bezout_bounded_unchecked(r: QuadElem, s: QuadElem, s1: QuadElem, ring: RingOfIntegers
+                              ) -> tuple[QuadElem, QuadElem]:
+    """bezout_bounded for a caller that knows (s1) is primary and divides s,
+    so that no factorization runs again to check it."""
     pair = bezout(r, s, ring)
     if pair is None:
         raise PreconditionError("bezout_bounded requires (r, s) = 1")

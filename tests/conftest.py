@@ -10,7 +10,7 @@ from typing import Optional
 
 import pytest
 
-from tracelab import FieldDesc, Mat2, PreconditionError, QQ, QuadElem, canonical_trace
+from tracelab import Ball, FieldDesc, Mat2, PreconditionError, QQ, QuadElem, canonical_trace
 from tracelab.cli import main
 
 
@@ -71,6 +71,29 @@ def mat2_least_traces(items) -> dict:
             t = canonical_trace(m.trace())
             least[t] = min(wl, least.get(t, wl))
     return least
+
+
+def gamma2_ball_reference(ball: Ball, pair_budget: int = 90_000) -> Ball:
+    """groups.gamma2_ball as a visit closure with a membership test and a
+    second lookup per product: the reference for its one-lookup loop."""
+    prov = {}
+
+    def visit(g, wl: int):
+        if g not in prov or wl < prov[g]:
+            prov[g] = wl
+
+    squares = []
+    for g, wl in ball.word_length.items():
+        sq = g * g
+        visit(sq, 2 * wl)
+        squares.append((sq, 2 * wl))
+    sub_radius = max((r for r, n in ball.per_radius_counts()
+                      if n * n <= pair_budget), default=0)
+    sub = [(sq, wl) for (sq, wl) in squares if wl <= 2 * sub_radius]
+    for s1, w1 in sub:
+        for s2, w2 in sub:
+            visit(s1 * s2, w1 + w2)
+    return Ball(2 * ball.radius, dict(sorted(prov.items(), key=lambda kv: kv[1])))
 
 
 # -- the Fraction path: the reference arithmetic for QuadElem -------------

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
+
+import tracelab
 
 from tracelab import (BudgetExceededError, FieldDesc, PreconditionError, QQ, QuadElem,
                       RingOfIntegers, catalog, cluster_counts,
@@ -13,7 +19,9 @@ from tracelab import (BudgetExceededError, FieldDesc, PreconditionError, QQ, Qua
                       rn_two_to_one_check, theta_map, totient_sum_check,
                       totients, trace_set)
 
+from tracelab import analytics, qfield
 from tracelab.analytics import POWER_BIT_BUDGET, WITNESS_BIT_BUDGET
+from tracelab.qfield import prime_power_factor
 
 from conftest import delta_c_reference, rn_reference, two_to_one_reference
 
@@ -325,6 +333,21 @@ class TestDeltaWitness:
         with pytest.raises(BudgetExceededError, match=r"f\(6\) = 4095"):
             delta_c_cluster_witness(q(Fraction(3, 2)), zz, 6)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_witness_factors_the_denominator_once(self, monkeypatch, n):
+        # q1 is a primary factor of q by construction; the Bezout steps
+        # must not factor it again to check that
+        calls = []
+
+        def counted(x, ring):
+            calls.append(x)
+            return prime_power_factor(x, ring)
+
+        monkeypatch.setattr(qfield, "prime_power_factor", counted)
+        monkeypatch.setattr(analytics, "prime_power_factor", counted)
+        delta_c_cluster_witness(q(Fraction(5, 9)), RingOfIntegers.integers(), n)
+        assert calls == [q(9)]
+
     def test_integral_c_rejected(self):
         with pytest.raises(PreconditionError):
             delta_c_cluster_witness(q(2), RingOfIntegers.integers(), 3)
@@ -371,3 +394,15 @@ class TestKronecker:
                      for k in (-1, 0, 1) for l in (-1, 0, 1)
                      if (k, l) != (0, 0))
         assert env[0][1] == oracle
+
+
+def test_import_leaves_mpmath_unloaded():
+    # only the witness uses mpmath, and loading it takes tens of ms of
+    # every start of the command
+    src = Path(tracelab.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tracelab, tracelab.cli; print('mpmath' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        check=True, timeout=60)
+    assert out.stdout == "False\n"

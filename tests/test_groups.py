@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from tracelab import (BudgetExceededError, FieldDesc, PreconditionError,
+from tracelab import (Ball, BudgetExceededError, FieldDesc, PreconditionError,
                       ProjMat, QQ, QuadElem, catalog, catalog_names,
                       enumerate_ball, enumerate_largest_ball, format_quadelem,
                       gamma2_ball, load_group_spec, trace_set)
 from tracelab.groups import (ARITHMETIC, NON_ARITHMETIC, GroupSpec,
                              group_spec_from_dict, group_spec_to_dict)
+
+from conftest import gamma2_ball_reference
 
 FI = FieldDesc(-1)
 F5 = FieldDesc(5)
@@ -104,6 +106,13 @@ class TestTraceSet:
         ts = trace_set(ball)
         assert [format_quadelem(t) for t in ts.exact] == ["0", "1", "2"]
 
+    def test_provenance_is_least_word_length_in_any_element_order(self):
+        # an enumerated ball lists elements by word length; a ball may not
+        ball = enumerate_ball(catalog("gamma0(6)"), 3)
+        back = Ball(ball.radius, dict(reversed(ball.word_length.items())))
+        ts, ts_back = trace_set(ball), trace_set(back)
+        assert ts_back.exact == ts.exact and ts_back.provenance == ts.provenance
+
     def test_identity_only_ball_reduced_empty(self):
         spec = GroupSpec("trivial", (ProjMat.identity(),), QQ)
         ball = enumerate_ball(spec, 3)
@@ -165,6 +174,18 @@ class TestGamma2Ball:
         b = ProjMat.make(0, -1, 1, 0)
         prod = (a * a) * (b * b)
         assert prod in g2.word_length
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_matches_the_reference_loop(self, name):
+        # the same elements with the same word lengths, in the same order,
+        # also from a ball whose elements are not listed by word length
+        for radius in range(1, 5):
+            ball = enumerate_ball(catalog(name), radius)
+            back = Ball(radius, dict(reversed(ball.word_length.items())))
+            for b, budget in itertools.product((ball, back), (0, 100, 5000)):
+                got, ref = gamma2_ball(b, budget), gamma2_ball_reference(b, budget)
+                assert (got.radius, got.complete) == (ref.radius, ref.complete)
+                assert list(got.word_length.items()) == list(ref.word_length.items())
 
 
 class TestCatalog:

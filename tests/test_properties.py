@@ -167,6 +167,30 @@ def test_embedded_sign_matches_high_precision_value(drawn):
     assert embedded_sign(a, b, d) == expected
 
 
+ring_coords = st.just(0) | st.integers(-3, 3) | st.integers(-10 ** 6, 10 ** 6)
+
+
+@st.composite
+def ring_sign_inputs(draw):
+    """(ring, x0, x1) over Z and SIGN_DS rings, x0 and x1 often 0; half the
+    quadratic draws put the doubled real part 2*x0 + t*x1 next to 0
+    (imaginary) or next to -s*x1*sqrt(d) (real), with 2*omega = t + s*sqrt(d)."""
+    d = draw(st.sampled_from((None, -11, -7, -3, -2, -1, 2, 3, 5, 13)))
+    ring = RingOfIntegers.integers() if d is None else ring_of_integers(FieldDesc(d))
+    x0, x1 = draw(ring_coords), 0 if d is None else draw(ring_coords)
+    if d is not None and draw(st.booleans()):
+        near = 0 if d < 0 else -math.isqrt(d * (ring.s * x1) ** 2) * (1 if x1 > 0 else -1)
+        x0 = (near - ring.t * x1) // 2 + draw(st.integers(-2, 2))
+    return ring, x0, x1
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(ring_sign_inputs())
+def test_ring_sign_matches_embedded_sign(drawn):
+    ring, x0, x1 = drawn
+    assert ring.sign(x0, x1) == embedded_sign(*ring.doubled(x0, x1), ring.field.d)
+
+
 REFERENCE_DS = (None, -11, -7, -3, -2, -1, 2, 3, 5, 13)
 reference_coefs = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 

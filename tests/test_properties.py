@@ -172,9 +172,10 @@ ring_coords = st.just(0) | st.integers(-3, 3) | st.integers(-10 ** 6, 10 ** 6)
 
 @st.composite
 def ring_sign_inputs(draw):
-    """(ring, x0, x1) over Z and SIGN_DS rings, x0 and x1 often 0; half the
-    quadratic draws put the doubled real part 2*x0 + t*x1 next to 0
-    (imaginary) or next to -s*x1*sqrt(d) (real), with 2*omega = t + s*sqrt(d)."""
+    """(ring, x0, x1) over Z and nine quadratic rings, x0 and x1 often 0;
+    half the quadratic draws put the doubled real part 2*x0 + t*x1 next to
+    0 (imaginary) or next to -s*x1*sqrt(d) (real), with
+    2*omega = t + s*sqrt(d)."""
     d = draw(st.sampled_from((None, -11, -7, -3, -2, -1, 2, 3, 5, 13)))
     ring = RingOfIntegers.integers() if d is None else ring_of_integers(FieldDesc(d))
     x0, x1 = draw(ring_coords), 0 if d is None else draw(ring_coords)

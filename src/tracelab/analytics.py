@@ -38,13 +38,22 @@ class ClusterGrid:
         return sum(self.counts.values())
 
 
-def cluster_counts(points: Iterable[Number]) -> ClusterGrid:
-    zs = list(map(complex, points))
+CELLS_NEED_FINITE_POINTS = "unit cells require finite points"
+
+
+def _cells(zs: Sequence[complex], collect):
+    """collect applied to the iterator of the unit cells (m, n) of the points
+    zs, m and n the floors of the real and imaginary parts. Raises
+    PreconditionError for a point with an infinite or NaN coordinate."""
     try:
-        counts = Counter(zip(map(math.floor, map(attrgetter("real"), zs)),
-                             map(math.floor, map(attrgetter("imag"), zs))))
-    except (OverflowError, ValueError):  # an infinite or NaN coordinate
-        raise PreconditionError("cluster_counts requires finite points") from None
+        return collect(zip(map(math.floor, map(attrgetter("real"), zs)),
+                           map(math.floor, map(attrgetter("imag"), zs))))
+    except (OverflowError, ValueError):
+        raise PreconditionError(CELLS_NEED_FINITE_POINTS) from None
+
+
+def cluster_counts(points: Iterable[Number]) -> ClusterGrid:
+    counts = _cells(list(map(complex, points)), Counter)
     max_count = max(counts.values(), default=0)
     return ClusterGrid(counts, max_count, len(counts))
 
@@ -52,18 +61,19 @@ def cluster_counts(points: Iterable[Number]) -> ClusterGrid:
 # -- gap and growth ---------------------------------------------------------
 
 def gap(points: Sequence[Number]) -> float:
-    """Minimum pairwise distance over distinct points."""
+    """Minimum pairwise distance over distinct points, each with a unit
+    cell (_cells)."""
     pts = list(dict.fromkeys(complex(p) for p in points))
     if len(pts) < 2:
         raise PreconditionError("gap requires at least 2 distinct points")
+    cells = _cells(pts, list)
     if all(z.imag == 0 for z in pts):
         xs = sorted(z.real for z in pts)
         return min(b - a for a, b in zip(xs, xs[1:]))
     # spatial hash; a pair closer than 1 lies in a 3x3 cell neighbourhood
     best = float("inf")
     grid: dict[tuple[int, int], list[complex]] = {}
-    for z in pts:
-        cell = (math.floor(z.real), math.floor(z.imag))
+    for z, cell in zip(pts, cells):
         grid.setdefault(cell, []).append(z)
     for (cx, cy), bucket in grid.items():
         neighbours = [w for dx in (-1, 0, 1) for dy in (-1, 0, 1)
@@ -227,12 +237,12 @@ class TwoToOneReport:
         return self.max_fiber_size <= 2 and self.swap_fibers_ok and self.diagonal_ok
 
 
-def rn_two_to_one_check(n: int, max_n: int = 400) -> TwoToOneReport:
+def rn_two_to_one_check(n: int) -> TwoToOneReport:
     """Group R_N by its image under f; every fiber has size <= 2, size-2
     fibers are swaps (r1,r2,r3,r4) <-> (r3,r4,r1,r2), diagonal tuples sit
-    in singleton fibers."""
-    if n > max_n:
-        raise PreconditionError(f"rn_two_to_one_check is exhaustive only up to N={max_n}")
+    in singleton fibers. Exhaustive, so N is at most 400."""
+    if n > 400:
+        raise PreconditionError("rn_two_to_one_check is exhaustive only up to N=400")
     pairs, upto = _rn_pairs(n)
     # every coordinate of f(u) = (r2*r4, r2*r3 + r1*r4, r1*r3) lies in [0, 2N],
     # so in base B = 2N + 1 the image of u is the one int
@@ -512,11 +522,8 @@ def delta_c_cluster_witness(c: QuadElem, ring: RingOfIntegers, n: int,
         u[i], v[i] = u_i, v_i
         tail = tail * v_i
 
-    prod_v = QuadElem.rational(1, ring.field)
     factors = [None] * (n + 1)
-    for i in range(1, n + 1):
-        prod_v = prod_v * v[i]
-    factors[0] = prod_v
+    factors[0] = tail  # v_1 ... v_n
     points = [factors[0] * m1 * c]
     exponents = [0]
     running = QuadElem.rational(1, ring.field)

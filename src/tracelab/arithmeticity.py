@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .groups import Ball, TraceSet, gamma2_ball, trace_set
+from .groups import DEFAULT_PAIR_BUDGET, Ball, TraceSet, gamma2_ball, trace_set
 from .psl2 import canonical_trace
 from .qfield import QQ, FieldDesc, QuadElem, format_quadelem
 
@@ -64,16 +64,17 @@ class IntegralityResult:
         return None
 
 
-def integrality_check(traces: TraceSet, doubling_steps: int = 3) -> IntegralityResult:
+def integrality_check(traces: TraceSet) -> IntegralityResult:
     """Every trace must be an algebraic integer; violations are certified by
-    strict denominator growth along t -> t^2 - 2 (traces of repeated squares)."""
+    strict denominator growth along t -> t^2 - 2 (traces of repeated squares),
+    over t and its first three such steps."""
     violations = []
     for t in traces.exact:
         if t.is_algebraic_integer():
             continue
         denoms = []
         cur = t
-        for _ in range(doubling_steps + 1):
+        for _ in range(4):
             denoms.append(cur.den)
             cur = cur * cur - 2
         violations.append(IntegralityViolation(t, tuple(denoms)))
@@ -104,9 +105,8 @@ def _sustained_growth(maxima: Sequence[float]) -> bool:
     return False
 
 
-def conjugate_boundedness(traces: TraceSet, shells: Optional[Sequence[int]] = None
-                          ) -> ConjugateGrowth:
-    """Running max of |t.embed(conjugate=True)| per word-length shell.
+def conjugate_boundedness(traces: TraceSet) -> ConjugateGrowth:
+    """Running max of |t.embed(conjugate=True)| per even word-length shell.
 
     Not applicable for rational trace fields (no non-identity embedding) and
     for imaginary quadratic ones (identity and complex conjugation are both
@@ -117,8 +117,7 @@ def conjugate_boundedness(traces: TraceSet, shells: Optional[Sequence[int]] = No
     if fld.is_imaginary:
         return ConjugateGrowth((), (), FLAG_NA_IMAGINARY)
     max_wl = max(traces.provenance.values(), default=0)
-    if shells is None:
-        shells = list(range(2, max_wl + 1, 2))
+    shells = range(2, max_wl + 1, 2)
     per_shell = []
     running = 0.0
     for s in shells:
@@ -131,7 +130,7 @@ def conjugate_boundedness(traces: TraceSet, shells: Optional[Sequence[int]] = No
     return ConjugateGrowth(tuple(shells), tuple(per_shell), flag)
 
 
-def gamma2_traces(ball: Ball, pair_budget: int = 90_000) -> TraceSet:
+def gamma2_traces(ball: Ball, pair_budget: int = DEFAULT_PAIR_BUDGET) -> TraceSet:
     """Traces of squares of ball elements and pairwise products of squares."""
     return trace_set(gamma2_ball(ball, pair_budget), reduced=True)
 
@@ -171,8 +170,8 @@ class ArithmeticityReport:
         }
 
 
-def takeuchi_verdict(ball: Ball, shells: Optional[Sequence[int]] = None,
-                     pair_budget: int = 90_000) -> ArithmeticityReport:
+def takeuchi_verdict(ball: Ball, pair_budget: int = DEFAULT_PAIR_BUDGET
+                     ) -> ArithmeticityReport:
     """Trace-criterion verdict on the squares-subgroup ball approximation.
 
     The checks run on traces of the squares subgroup (whose derived-from-
@@ -180,12 +179,12 @@ def takeuchi_verdict(ball: Ball, shells: Optional[Sequence[int]] = None,
     group), and every verdict is relative to the enumerated radius.
     """
     g2 = gamma2_traces(ball, pair_budget)
-    full = trace_set(ball, reduced=True)
-    elementary = all((t - 2).is_zero() for t in full.exact)
+    # every element has the sign-folded trace 2, i.e. trace_key (2, 0, 1, d)
+    elementary = all(g.trace_key()[:3] == (2, 0, 1) for g in ball.word_length)
     fld = trace_field(g2) if g2.exact else QQ
     integ = integrality_check(g2)
-    growth = conjugate_boundedness(g2, shells) if not fld.is_rational else \
-        ConjugateGrowth((), (), FLAG_NA_RATIONAL)
+    growth = (conjugate_boundedness(g2) if g2.exact
+              else ConjugateGrowth((), (), FLAG_NA_RATIONAL))
     witness: Optional[str] = None
     if elementary:
         verdict = VERDICT_INCONCLUSIVE

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import io
 import itertools
@@ -16,14 +17,15 @@ from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__
-from .analytics import (cluster_counts, delta_c_cluster_witness, delta_c_set,
-                        dn_set, gap, growth_profile, kronecker_gap_demo,
-                        rn_set, rn_two_to_one_check, totient_sum_check)
+from .analytics import (CELLS_NEED_FINITE_POINTS, cluster_counts,
+                        delta_c_cluster_witness, delta_c_set, dn_set, gap,
+                        growth_profile, kronecker_gap_demo, rn_set,
+                        rn_two_to_one_check, totient_sum_check)
 from .arithmeticity import subtraction_closure_check, takeuchi_verdict
 from .errors import BudgetExceededError, PreconditionError
-from .groups import (DEFAULT_CAP, GroupSpec, catalog, enumerate_ball,
-                     load_group_spec, trace_set)
-from .qfield import (FieldDesc, QuadElem, RingOfIntegers, format_quadelem,
+from .groups import (DEFAULT_CAP, DEFAULT_PAIR_BUDGET, GroupSpec, catalog,
+                     enumerate_ball, load_group_spec, trace_set)
+from .qfield import (QQ, FieldDesc, QuadElem, RingOfIntegers, format_quadelem,
                      parse_quadelem, ring_of_integers)
 
 BUDGET_ENV = "TRACELAB_BUDGET"
@@ -33,9 +35,16 @@ def _dec(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_number(x: float) -> Optional[float]:
-    """x, or None (JSON null) for NaN and +-inf, which JSON cannot carry."""
-    return x if math.isfinite(x) else None
+def _json_values(x):
+    """x with every NaN and +-inf in it, at any depth, made None (JSON
+    null): JSON cannot carry them."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _json_values(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return list(map(_json_values, x))
+    return x
 
 
 def _finite_float(text: str) -> float:
@@ -69,7 +78,7 @@ def _budget_default() -> int:
 
 
 def _resolve_group(args) -> GroupSpec:
-    if args.spec_file:
+    if args.spec_file is not None:
         return load_group_spec(args.spec_file)
     return catalog(args.group)
 
@@ -77,7 +86,7 @@ def _resolve_group(args) -> GroupSpec:
 def _ring_from_flag(text: str) -> RingOfIntegers:
     key = text.strip().upper()
     if key in ("Z", "ZZ", "Q"):
-        return RingOfIntegers.integers()
+        return RingOfIntegers(QQ)
     return ring_of_integers(FieldDesc(int(text)))
 
 
@@ -108,7 +117,7 @@ class Report:
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
-            obj = {"version": __version__, **self.payload}
+            obj = _json_values({"version": __version__, **self.payload})
             return json.dumps(obj, indent=2, sort_keys=True) + "\n"
         return self.csv_table() if fmt == "csv" else self.data_table()
 
@@ -176,8 +185,8 @@ def cmd_traces(args) -> Report:
         "radius": ball.radius,
         "reduced": ts.reduced,
         "size": ts.size,
-        "traces": [{"value": r[0], "re": _json_number(float(r[1])),
-                    "im": _json_number(float(r[2])), "word_length": r[3]}
+        "traces": [{"value": r[0], "re": float(r[1]), "im": float(r[2]),
+                    "word_length": r[3]}
                    for r in rows],
     }
     return Report(payload, lambda: _csv([["trace", "re", "im", "word_length"], *rows]),
@@ -201,7 +210,7 @@ def cmd_cluster(args) -> Report:
         "cells_touched": grid.cells_touched,
         "mass": grid.mass,
         "gap": gap_val,
-        "growth_slope": _json_number(slope),
+        "growth_slope": slope,
     }
     return Report(payload,
                   lambda: _csv([["cell", "m", "n", "count"],
@@ -229,7 +238,7 @@ def cmd_growth(args) -> Report:
     payload = {
         "command": "growth", "group": spec.name, "radius": ball.radius,
         "counts": [{"n": n, "count": c} for n, c in counts],
-        "slope": _json_number(slope),
+        "slope": slope,
     }
     return Report(payload, lambda: _csv([["n", "count"], *counts]), lambda: _data(counts))
 
@@ -296,7 +305,7 @@ def cmd_delta_c(args) -> Report:
         return Report(payload, lambda: _csv([["point", "re", "im"], *rows]),
                       lambda: _data(r[1:] for r in rows))
     if _beyond_float_range(c, args.k_bound, args.n_bound, args.m1):
-        raise PreconditionError("cluster_counts requires finite points")
+        raise PreconditionError(CELLS_NEED_FINITE_POINTS)
     dset = delta_c_set(c, ring, args.k_bound, args.n_bound, m1=args.m1)
     grid = cluster_counts(dset.embedded)
     payload = {
@@ -408,33 +417,36 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. A command runs as the cmd_*
+    function of this module named after it, looked up at each call, so
+    that a replacement of that name takes effect."""
     ap = _Parser(
         prog="tracelab",
         description="Exact trace-set experiments for matrix groups over "
                     "quadratic fields.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, func, group=False):
+    def add(name, group=False):
         p = sub.add_parser(name)
         if group:
             _add_group_args(p)
         _add_output_args(p)
-        p.set_defaults(func=func)
         return p
 
-    add("enumerate", cmd_enumerate, group=True)
-    p = add("traces", cmd_traces, group=True)
+    add("enumerate", group=True)
+    p = add("traces", group=True)
     p.add_argument("--all", action="store_true",
                    help="include the identity trace (unreduced set)")
-    p = add("cluster", cmd_cluster, group=True)
+    p = add("cluster", group=True)
     p.add_argument("--max-n", type=int, default=20)
-    add("gap", cmd_gap, group=True)
-    p = add("growth", cmd_growth, group=True)
+    add("gap", group=True)
+    p = add("growth", group=True)
     p.add_argument("--max-n", type=int, default=20)
-    p = add("arith-check", cmd_arith_check, group=True)
-    p.add_argument("--pair-budget", type=_non_negative_int, default=90_000)
-    p = add("delta-c", cmd_delta_c)
+    p = add("arith-check", group=True)
+    p.add_argument("--pair-budget", type=_non_negative_int, default=DEFAULT_PAIR_BUDGET)
+    p = add("delta-c")
     p.add_argument("--c", required=True, help="the base value, e.g. 3/2")
     p.add_argument("--ring", required=True,
                    help="Z, or a squarefree d in {-1,-2,-3,-7,-11}")
@@ -443,16 +455,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m1", type=int, default=1)
     p.add_argument("--witness", type=int, default=None,
                    help="emit the n-point clustering-failure witness instead")
-    p = add("counting", cmd_counting)
+    p = add("counting")
     p.add_argument("--kind", choices=("dn", "rn", "two-to-one", "totient"),
                    required=True)
     p.add_argument("--N", type=int, required=True)
-    p = add("kronecker", cmd_kronecker)
+    p = add("kronecker")
     p.add_argument("--theta1", type=_finite_float, required=True)
     p.add_argument("--theta2", type=_finite_float, required=True)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--delta", type=_finite_float, default=0.0)
-    p = add("corollary", cmd_corollary, group=True)
+    p = add("corollary", group=True)
     p.add_argument("--window", default="5")
     return ap
 
@@ -466,7 +478,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if hasattr(args, "cap") and args.cap is None:
             args.cap = _budget_default()
-        _emit(args.func(args), args)
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        _emit(command(args), args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

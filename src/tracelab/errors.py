@@ -29,7 +29,3 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, message: str, partial=None):
         super().__init__(message)
         self.partial = partial
-
-    @property
-    def completed_radius(self) -> int:
-        return self.partial.radius if self.partial is not None else 0

@@ -15,6 +15,7 @@ from .psl2 import ProjMat, format_mat2, parse_mat2
 from .qfield import EUCLIDEAN_IMAGINARY_D, QQ, FieldDesc, QuadElem, ring_of_integers
 
 DEFAULT_CAP = 5_000_000
+DEFAULT_PAIR_BUDGET = 90_000  # of gamma2_ball
 
 ARITHMETIC = "arithmetic"
 NON_ARITHMETIC = "non_arithmetic"
@@ -159,7 +160,7 @@ def trace_set(ball: Ball, reduced: bool = True) -> TraceSet:
                     {t: prov[t] for t in exact}, reduced, ball.radius)
 
 
-def gamma2_ball(ball: Ball, pair_budget: int = 90_000) -> Ball:
+def gamma2_ball(ball: Ball, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Ball:
     """Squares of ball elements plus pairwise products of squares drawn from
     the largest sub-ball whose square count fits the pair budget; word
     lengths are inherited from the constructions."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import PreconditionError
-from .qfield import (QQ, FieldDesc, QuadElem, RingOfIntegers, _common_field, _ring_of,
+from .qfield import (QQ, FieldDesc, QuadElem, RingOfIntegers, _common_field,
                      format_quadelem, parse_quadelem)
 
 Scalar = Union[int, Fraction, QuadElem]
@@ -106,7 +106,7 @@ def canonical_trace(t: QuadElem) -> QuadElem:
 # -- PSL(2) on integer coordinates -----------------------------------------
 
 _IDENTITY = (1, 0, 0, 0, 0, 0, 1, 0)
-_INTEGERS = RingOfIntegers.integers()
+_INTEGERS = RingOfIntegers(QQ)
 
 
 class ProjMat:
@@ -142,7 +142,7 @@ class ProjMat:
     def of(m: Mat2) -> ProjMat:
         entries = m.entries()  # of m's field or of Q, whose (x0, 0) fit every ring
         den = math.lcm(*(e.den for e in entries))
-        return ProjMat(_ring_of(m.field), den,
+        return ProjMat(RingOfIntegers(m.field), den,
                        tuple(v * (den // e.den) for e in entries for v in (e.x0, e.x1)))
 
     @staticmethod
@@ -152,7 +152,7 @@ class ProjMat:
 
     @staticmethod
     def identity(field: FieldDesc = QQ) -> ProjMat:
-        return ProjMat(_ring_of(field), 1, _IDENTITY)
+        return ProjMat(RingOfIntegers(field), 1, _IDENTITY)
 
     @property
     def field(self) -> FieldDesc:
@@ -167,7 +167,7 @@ class ProjMat:
     def __mul__(self, other: ProjMat) -> ProjMat:
         ring = self._ring
         if other._ring is not ring:
-            ring = _ring_of(_common_field(ring.field, other._ring.field))
+            ring = RingOfIntegers(_common_field(ring.field, other._ring.field))
         a0, a1, b0, b1, c0, c1, d0, d1 = self.x
         e0, e1, f0, f1, g0, g1, h0, h1 = other.x
         if ring is _INTEGERS:  # every omega-coordinate is 0
@@ -348,7 +348,7 @@ def parabolic_shift_trace(a_n: Mat2, k: Scalar) -> QuadElem:
 
 # -- matrix text format -----------------------------------------------------
 
-_MAT_RE = re.compile(r"^\[([^;]*);([^;]*)\]$")
+_MAT_RE = re.compile(r"^\[([^;]*;[^;]*)\]$")
 
 
 def format_mat2(m: Mat2) -> str:
@@ -356,28 +356,12 @@ def format_mat2(m: Mat2) -> str:
     return f"[{a},{b};{c},{d}]"
 
 
-def _split_entries(row: str) -> list[str]:
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(row):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(row[start:i])
-            start = i + 1
-    parts.append(row[start:])
-    return parts
-
-
 def parse_mat2(text: str, field: Optional[FieldDesc] = None) -> Mat2:
     s = text.replace(" ", "")
     m = _MAT_RE.match(s)
     if not m:
         raise ValueError(f"cannot parse matrix literal: {text!r}")
-    cells = _split_entries(m.group(1)) + _split_entries(m.group(2))
+    cells = re.split("[,;]", m.group(1))  # no comma or ";" is inside an entry
     if len(cells) != 4:
         raise ValueError(f"matrix literal needs 4 entries: {text!r}")
     elems = [parse_quadelem(cell, field) for cell in cells]
@@ -386,4 +370,4 @@ def parse_mat2(text: str, field: Optional[FieldDesc] = None) -> Mat2:
         f = _common_field(f, e.field)
     if field is not None and not field.is_rational:
         f = _common_field(f, field)
-    return Mat2(*(QuadElem(_ring_of(f), e.den, e.x0, e.x1) for e in elems))
+    return Mat2(*(QuadElem(RingOfIntegers(f), e.den, e.x0, e.x1) for e in elems))

@@ -127,7 +127,7 @@ class QuadElem:
     @staticmethod
     def of(a: Rational, b: Rational = 0, field: FieldDesc = QQ) -> QuadElem:
         """The element a + b*sqrt(d) of field."""
-        ring = _ring_of(field)
+        ring = RingOfIntegers(field)
         if b and ring.is_rational:
             raise ValueError("rational-field element must have b == 0")
         return (QuadElem.rational(a, field)
@@ -136,7 +136,7 @@ class QuadElem:
     @staticmethod
     def rational(a: Rational, field: FieldDesc = QQ) -> QuadElem:
         a = Fraction(a)
-        return QuadElem(_ring_of(field), a.denominator, a.numerator, 0)
+        return QuadElem(RingOfIntegers(field), a.denominator, a.numerator, 0)
 
     @property
     def field(self) -> FieldDesc:
@@ -287,6 +287,10 @@ _TERM_RE = re.compile(
     rf"^(?P<sign>[+-]?)(?:(?P<coef>\d+(?:/\d+)?)\*?)?(?:(?P<root>sqrt\((?P<d>-?\d+)\)))?$"
 )
 
+# a sign starts a term unless it starts the text or follows "(": inside
+# parentheses a literal holds only the radicand of sqrt(-d)
+_TERM_SPLIT_RE = re.compile(r"(?<=[^(])(?=[+-])")
+
 
 def _parse_rat(text: str) -> Fraction:
     """Exact p or p/q, with no limit on the number of digits."""
@@ -330,19 +334,7 @@ def parse_quadelem(text: str, field: Optional[FieldDesc] = None) -> QuadElem:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty field-element literal")
-    # split into at most two signed terms outside of sqrt parentheses
-    terms = []
-    start = 0
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and i > start and depth == 0:
-            terms.append(s[start:i])
-            start = i
-    terms.append(s[start:])
+    terms = _TERM_SPLIT_RE.split(s)
     if len(terms) > 2:
         raise ValueError(f"cannot parse field element: {text!r}")
     a = Fraction(0)
@@ -372,29 +364,37 @@ def parse_quadelem(text: str, field: Optional[FieldDesc] = None) -> QuadElem:
 
 # -- rings of integers -----------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+_RINGS: dict[Optional[int], RingOfIntegers] = {}  # by field.d
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class RingOfIntegers:
     """Z (field QQ) or Z + Z*omega, omega = (1+sqrt(d))/2 when d = 1 (mod 4)
     and sqrt(d) otherwise, with omega^2 = t*omega - n for t = Tr(omega) and
     n = N(omega) (t = n = 0 over Z), and 2*omega = t + s*sqrt(d). Its
     methods are the integer rules on the coordinates (x0 + x1*omega)/den of
-    QuadElem, ProjMat and DeltaCSet."""
+    QuadElem, ProjMat and DeltaCSet.
+
+    RingOfIntegers(field) is the one ring of field, made on first use, so
+    that rings compare by identity; copies and pickles are that ring too."""
 
     field: FieldDesc
-    t: int = dataclasses.field(init=False, repr=False, compare=False)
-    n: int = dataclasses.field(init=False, repr=False, compare=False)
-    s: int = dataclasses.field(init=False, repr=False, compare=False)
+    t: int = dataclasses.field(repr=False)
+    n: int = dataclasses.field(repr=False)
+    s: int = dataclasses.field(repr=False)
 
-    def __post_init__(self):
-        d = self.field.d
-        t, n = (0, 0) if d is None else (1, (1 - d) // 4) if d % 4 == 1 else (0, -d)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "s", 2 - t)
+    def __new__(cls, field: FieldDesc) -> RingOfIntegers:
+        ring = _RINGS.get(field.d)
+        if ring is None:
+            d = field.d
+            t, n = (0, 0) if d is None else (1, (1 - d) // 4) if d % 4 == 1 else (0, -d)
+            ring = _RINGS[d] = object.__new__(cls)
+            for name, value in (("field", field), ("t", t), ("n", n), ("s", 2 - t)):
+                object.__setattr__(ring, name, value)
+        return ring
 
-    @staticmethod
-    def integers() -> "RingOfIntegers":
-        return _ring_of(QQ)
+    def __reduce__(self):
+        return RingOfIntegers, (self.field,)
 
     @property
     def is_rational(self) -> bool:
@@ -506,17 +506,11 @@ class RingOfIntegers:
                    key=functools.cmp_to_key(QuadElem.compare_embedded))
 
 
-@functools.cache
-def _ring_of(field: FieldDesc) -> RingOfIntegers:
-    """The one ring of integers of each field."""
-    return RingOfIntegers(field)
-
-
 def ring_of_integers(field: FieldDesc) -> RingOfIntegers:
     """The ring of integers Z + Z*omega of a quadratic field."""
     if field.is_rational:
         raise PreconditionError("ring_of_integers requires a quadratic field")
-    return _ring_of(field)
+    return RingOfIntegers(field)
 
 
 def m1_constant(ring: RingOfIntegers, alpha: QuadElem) -> int:
@@ -728,8 +722,8 @@ def _bezout_bounded_unchecked(r: QuadElem, s: QuadElem, s1: QuadElem, ring: Ring
         u = u - s
         if not (u * r + v * s - 1).is_zero():
             raise AssertionError("Bezout identity failed after the v + r correction")
-    if bezout(v, s1, ring) is None:
-        raise PreconditionError("bezout_bounded correction failed: (v, s1) != 1")
+        if bezout(v, s1, ring) is None:
+            raise PreconditionError("bezout_bounded correction failed: (v, s1) != 1")
     if not _norm_sq_bound_holds(v, r, ring):
         raise AssertionError("remainder bound |v| <= M2|r| violated")
     return u, v

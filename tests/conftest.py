@@ -1,8 +1,10 @@
 import contextlib
 import csv
 import io
+import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -10,7 +12,9 @@ from typing import Optional
 
 import pytest
 
-from tracelab import Ball, FieldDesc, Mat2, PreconditionError, QQ, QuadElem, canonical_trace
+from tracelab import (Ball, FieldDesc, FieldMismatchError, Mat2, PreconditionError, QQ,
+                      QuadElem, RingOfIntegers, canonical_trace)
+from tracelab.qfield import _TERM_RE, _common_field, _parse_rat
 from tracelab.cli import main
 
 
@@ -268,6 +272,13 @@ def delta_c_tables_reference(c: QuadElem, ring, k_bound: int, n_bound: int,
             "data": "".join(" ".join(row[1:]) + "\n" for row in rows)}
 
 
+def strict_json(text):
+    """json.loads that, like RFC 8259 parsers, rejects NaN and Infinity."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def cli_output(argv) -> tuple[int, str]:
     """Exit code and stdout of the tracelab command line."""
     out = io.StringIO()
@@ -333,3 +344,84 @@ def two_to_one_reference(n: int):
     diagonal_ok = all(len(v) == 1 for v in fibers.values()
                       if any(u[:2] == u[2:] for u in v))
     return TwoToOneReport(n, len(tuples), len(fibers), max_size, swap_ok, diagonal_ok)
+
+
+# -- the depth-counting splitters: the reference for the literal parsers --
+
+def split_terms_reference(s: str) -> list[str]:
+    """s split before each sign outside parentheses, except a sign that
+    starts s or directly follows such a split."""
+    terms, start, depth = [], 0, 0
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and i > start and depth == 0:
+            terms.append(s[start:i])
+            start = i
+    terms.append(s[start:])
+    return terms
+
+
+def split_entries_reference(row: str) -> list[str]:
+    """row split at each comma outside parentheses."""
+    parts, start, depth = [], 0, 0
+    for i, ch in enumerate(row):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(row[start:i])
+            start = i + 1
+    parts.append(row[start:])
+    return parts
+
+
+def parse_quadelem_reference(text: str, field: Optional[FieldDesc] = None) -> QuadElem:
+    """qfield.parse_quadelem as it split terms with split_terms_reference."""
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError("empty field-element literal")
+    terms = split_terms_reference(s)
+    if len(terms) > 2:
+        raise ValueError(f"cannot parse field element: {text!r}")
+    a = b = Fraction(0)
+    d_seen = None
+    for term in terms:
+        m = _TERM_RE.match(term)
+        if not m or (m.group("coef") is None and m.group("root") is None):
+            raise ValueError(f"cannot parse field element term: {term!r}")
+        sign = -1 if m.group("sign") == "-" else 1
+        coef = _parse_rat(m.group("coef")) if m.group("coef") else Fraction(1)
+        if m.group("root"):
+            if d_seen is not None and d_seen != int(m.group("d")):
+                raise ValueError(f"mixed radicands in {text!r}")
+            d_seen = int(m.group("d"))
+            b += sign * coef
+        else:
+            a += sign * coef
+    if d_seen is not None:
+        f = FieldDesc(d_seen)
+        if field is not None and not field.is_rational and field != f:
+            raise FieldMismatchError(f"literal {text!r} does not live in {field}")
+        return QuadElem.of(a, b, f)
+    return QuadElem.rational(a, field or QQ)
+
+
+def parse_mat2_reference(text: str, field: Optional[FieldDesc] = None) -> Mat2:
+    """psl2.parse_mat2 as it split rows with split_entries_reference."""
+    m = re.match(r"^\[([^;]*);([^;]*)\]$", text.replace(" ", ""))
+    if not m:
+        raise ValueError(f"cannot parse matrix literal: {text!r}")
+    cells = split_entries_reference(m.group(1)) + split_entries_reference(m.group(2))
+    if len(cells) != 4:
+        raise ValueError(f"matrix literal needs 4 entries: {text!r}")
+    elems = [parse_quadelem_reference(cell, field) for cell in cells]
+    f = QQ
+    for e in elems:
+        f = _common_field(f, e.field)
+    if field is not None and not field.is_rational:
+        f = _common_field(f, field)
+    return Mat2(*(QuadElem(RingOfIntegers(f), e.den, e.x0, e.x1) for e in elems))

@@ -226,7 +226,7 @@ def test_criterion_4a_delta_witness_families():
     t0 = time.perf_counter()
     checks = []
     for ctext, d in WITNESS_CASES:
-        ring = (RingOfIntegers.integers() if d is None
+        ring = (RingOfIntegers(QQ) if d is None
                 else ring_of_integers(FieldDesc(d)))
         c = parse_quadelem(ctext, ring.field)
         for n in (2, 3, 4):
@@ -260,7 +260,7 @@ def test_criterion_4b_clustering_contrast():
     """Delta_2 clusters boundedly; Delta_{3/2} puts five points in one cell
     from k_bound = 115604 on (see the module docstring)."""
     t0 = time.perf_counter()
-    zz = RingOfIntegers.integers()
+    zz = RingOfIntegers(QQ)
     c = q(Fraction(3, 2))
     k_stated, n_bound = 10 ** 4, 4
     k_five = abs(FIVE_SCALE_KS[0])

@@ -222,7 +222,7 @@ class TestCountingSets:
 
 class TestDeltaCSet:
     def test_integral_c_stays_integral(self):
-        zz = RingOfIntegers.integers()
+        zz = RingOfIntegers(QQ)
         vals = delta_c_set(q(2), zz, 3, 2).values()
         assert set(vals) == {q(k * 2 ** (2 ** n)) for k in range(-3, 4)
                              for n in range(0, 3)}
@@ -230,7 +230,7 @@ class TestDeltaCSet:
             assert v.a.denominator == 1
 
     def test_three_halves_powers_present(self):
-        zz = RingOfIntegers.integers()
+        zz = RingOfIntegers(QQ)
         vals = set(delta_c_set(q(Fraction(3, 2)), zz, 2, 2).values())
         assert q(Fraction(9, 4)) in vals
         assert q(Fraction(81, 16)) in vals
@@ -244,19 +244,19 @@ class TestDeltaCSet:
 
     def test_bounds_required(self):
         with pytest.raises(PreconditionError):
-            delta_c_set(q(2), RingOfIntegers.integers(), 0, 2)
+            delta_c_set(q(2), RingOfIntegers(QQ), 0, 2)
 
     @pytest.mark.parametrize("m1", [0, -3])
     def test_m1_below_one_rejected(self, m1):
         with pytest.raises(PreconditionError, match="m1 >= 1"):
-            delta_c_set(q(Fraction(3, 2)), RingOfIntegers.integers(), 3, 1, m1)
+            delta_c_set(q(Fraction(3, 2)), RingOfIntegers(QQ), 3, 1, m1)
 
     @pytest.mark.parametrize("d", [None, -1, 5])
     def test_equal_embeddings_order_by_exact_value(self, d):
         # c = 1 + 10^-20 (1 + sqrt(d)): each k*c^(2^n) rounds to the float
         # of k (+ k*sqrt(d)), so the exact a, b decide the order
         field = QQ if d is None else FieldDesc(d)
-        ring = RingOfIntegers.integers() if d is None else ring_of_integers(field)
+        ring = RingOfIntegers(QQ) if d is None else ring_of_integers(field)
         tiny = Fraction(1, 10 ** 20)
         c = q(1 + tiny, 0 if d is None else tiny, field)
         dset = delta_c_set(c, ring, 2, 2)
@@ -267,7 +267,7 @@ class TestDeltaCSet:
         # (1/2)^(2^17) has a 131,073-bit denominator; its square would pass
         # the 2^18-bit budget, and the power is refused before it is formed
         assert POWER_BIT_BUDGET == 2 ** 18
-        zz, half = RingOfIntegers.integers(), q(Fraction(1, 2))
+        zz, half = RingOfIntegers(QQ), q(Fraction(1, 2))
         dset = delta_c_set(half, zz, 1, 17)
         assert max(den for _, _, den in dset.coords) == 2 ** (2 ** 17)
         with pytest.raises(BudgetExceededError, match=r"c\^\(2\^18\)"):
@@ -275,8 +275,8 @@ class TestDeltaCSet:
 
     def test_rational_lattice_keeps_the_field_of_c(self):
         c = q(1, 1, FI)
-        dset = delta_c_set(c, RingOfIntegers.integers(), 2, 1)
-        assert dset.values() == delta_c_reference(c, RingOfIntegers.integers(), 2, 1)
+        dset = delta_c_set(c, RingOfIntegers(QQ), 2, 1)
+        assert dset.values() == delta_c_reference(c, RingOfIntegers(QQ), 2, 1)
         assert {v.field for v in dset.values()} == {FI}
 
 
@@ -293,7 +293,7 @@ class TestDeltaWitness:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_witness_contract(self, ctext, d, n):
         from tracelab import parse_quadelem
-        ring = (RingOfIntegers.integers() if d is None
+        ring = (RingOfIntegers(QQ) if d is None
                 else ring_of_integers(FieldDesc(d)))
         c = parse_quadelem(ctext, ring.field)
         wit = delta_c_cluster_witness(c, ring, n)
@@ -317,7 +317,7 @@ class TestDeltaWitness:
         assert 2 * dev <= 1.0  # diameter bound
 
     def test_f_values_strictly_increase(self):
-        zz = RingOfIntegers.integers()
+        zz = RingOfIntegers(QQ)
         wit = delta_c_cluster_witness(q(Fraction(3, 2)), zz, 4)
         fs = wit.f_values
         assert all(b > a for a, b in zip(fs, fs[1:]))
@@ -327,7 +327,7 @@ class TestDeltaWitness:
         # is 2,154 bits, within the 2^12-bit budget; f(6) = 4095 takes the
         # sum to 8,644 bits and is refused before any Bezout step
         assert WITNESS_BIT_BUDGET == 2 ** 12
-        zz = RingOfIntegers.integers()
+        zz = RingOfIntegers(QQ)
         wit = delta_c_cluster_witness(q(Fraction(3, 2)), zz, 5)
         assert wit.f_values == (0, 3, 15, 63, 255, 1023)
         with pytest.raises(BudgetExceededError, match=r"f\(6\) = 4095"):
@@ -345,12 +345,12 @@ class TestDeltaWitness:
 
         monkeypatch.setattr(qfield, "prime_power_factor", counted)
         monkeypatch.setattr(analytics, "prime_power_factor", counted)
-        delta_c_cluster_witness(q(Fraction(5, 9)), RingOfIntegers.integers(), n)
+        delta_c_cluster_witness(q(Fraction(5, 9)), RingOfIntegers(QQ), n)
         assert calls == [q(9)]
 
     def test_integral_c_rejected(self):
         with pytest.raises(PreconditionError):
-            delta_c_cluster_witness(q(2), RingOfIntegers.integers(), 3)
+            delta_c_cluster_witness(q(2), RingOfIntegers(QQ), 3)
 
     def test_non_euclidean_rejected(self):
         ring = ring_of_integers(FieldDesc(-19))

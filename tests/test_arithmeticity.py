@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tracelab import (FieldDesc, Mat2, PreconditionError, ProjMat, QQ,
+from tracelab import (FieldDesc, Mat2, PreconditionError, ProjMat, QQ, canonical_trace,
                       QuadElem, catalog, conjugate_boundedness, enumerate_ball,
                       gamma2_traces, integrality_check,
                       subtraction_closure_check, takeuchi_verdict, trace_field,
@@ -164,6 +164,13 @@ class TestVerdicts:
         assert rep.elementary
         assert rep.verdict == VERDICT_INCONCLUSIVE
 
+    @pytest.mark.parametrize("entries", [(0, -1, 1, 0), (1, 1, -1, 0), (2, 1, 1, 1)],
+                             ids=["order-2", "order-3", "hyperbolic"])
+    def test_one_generator_of_trace_other_than_2_is_not_elementary(self, entries):
+        # the ball of S, of order 2, is {1, S}: its one non-identity trace decides
+        spec = GroupSpec("one", (ProjMat.make(*entries),), QQ)
+        assert not takeuchi_verdict(enumerate_ball(spec, 2)).elementary
+
     def test_report_serialization(self, psl2z_ball_8):
         rep = takeuchi_verdict(psl2z_ball_8, pair_budget=4000)
         data = rep.to_dict()
@@ -214,3 +221,18 @@ class TestSubtractionClosure:
         rep = subtraction_closure_check(ts, 5)
         # lam+1 - lam = 1 present, lam - 1 = (-1+sqrt5)/2 missing
         assert not rep.closed
+
+    @pytest.mark.parametrize("name, radius, window", [
+        ("bianchi(-1)", 5, 3), ("bianchi(-1)", 5, Fraction(5, 2)), ("bianchi(-3)", 4, 2),
+        ("bianchi(-2)", 4, 4)])
+    def test_imaginary_field_window_against_brute_force(self, name, radius, window):
+        # |a - b|^2 = x^2 + |d| y^2 for a - b = x + y*sqrt(d), exactly
+        ts = trace_set(enumerate_ball(catalog(name), radius))
+        d = -ts.exact[0].field.d
+        pairs = [(a, b) for i, a in enumerate(ts.exact) for b in ts.exact[i + 1:]
+                 if (a - b).a ** 2 + d * (a - b).b ** 2 <= window ** 2]
+        assert any((a - b).b for a, b in pairs)  # some differences are not rational
+        rep = subtraction_closure_check(ts, window)
+        assert rep.pairs_checked == len(pairs)
+        assert [v[:2] for v in rep.violations] == [
+            (a, b) for a, b in pairs if canonical_trace(a - b) not in ts.provenance]

@@ -7,18 +7,13 @@ import pytest
 from tracelab import QuadElem, parse_quadelem
 from tracelab.cli import main
 
+from conftest import strict_json
+
 
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def strict_json(text):
-    """json.loads that, like RFC 8259 parsers, rejects NaN and Infinity."""
-    def reject(name):
-        raise ValueError(f"{name} is not JSON")
-    return json.loads(text, parse_constant=reject)
 
 
 class TestBasicCommands:

@@ -6,8 +6,9 @@ generators, the shared embedded-sign rule against a high-precision
 evaluation, QuadElem against the Fraction reference path, delta_c_set
 against the QuadElem reference path, the `delta-c` csv and data tables
 against the row-by-row writer, cluster_counts against the point-by-point
-loop, the early float-range exit of `delta-c` against the exact path, and
-the bisected Kronecker envelope against the exhaustive loop."""
+loop, the early float-range exit of `delta-c` against the exact path,
+the bisected Kronecker envelope against the exhaustive loop, and the
+literal parsers against the depth-counting splitters."""
 
 import math
 from fractions import Fraction
@@ -27,7 +28,8 @@ from tracelab.qfield import embedded_sign
 
 from conftest import (FracQuad, cli_output, cluster_counts_reference, delta_c_reference,
                       delta_c_tables_reference, kronecker_reference, mat2_canonical,
-                      mat2_is_identity, mat2_least_traces)
+                      mat2_is_identity, mat2_least_traces, parse_mat2_reference,
+                      parse_quadelem_reference)
 
 FIELDS = (QQ, FieldDesc(-1), FieldDesc(-3), FieldDesc(2), FieldDesc(5))
 CHEAP = settings(max_examples=30, deadline=None, database=None)
@@ -177,7 +179,7 @@ def ring_sign_inputs(draw):
     0 (imaginary) or next to -s*x1*sqrt(d) (real), with
     2*omega = t + s*sqrt(d)."""
     d = draw(st.sampled_from((None, -11, -7, -3, -2, -1, 2, 3, 5, 13)))
-    ring = RingOfIntegers.integers() if d is None else ring_of_integers(FieldDesc(d))
+    ring = RingOfIntegers(QQ) if d is None else ring_of_integers(FieldDesc(d))
     x0, x1 = draw(ring_coords), 0 if d is None else draw(ring_coords)
     if d is not None and draw(st.booleans()):
         near = 0 if d < 0 else -math.isqrt(d * (ring.s * x1) ** 2) * (1 if x1 > 0 else -1)
@@ -266,7 +268,7 @@ def delta_c_inputs(draw):
     1 to 6, zero drawn often."""
     d = draw(st.sampled_from(DELTA_C_DS))
     field = FieldDesc(d)
-    ring = RingOfIntegers.integers() if d is None else ring_of_integers(field)
+    ring = RingOfIntegers(QQ) if d is None else ring_of_integers(field)
     c = QuadElem.of(draw(delta_c_coefs), 0 if d is None else draw(delta_c_coefs), field)
     return (c, ring, draw(st.integers(1, 4)), draw(st.integers(1, 3)),
             draw(st.sampled_from((1, 2, 3))))
@@ -388,3 +390,73 @@ def test_kronecker_envelope_matches_exhaustive_loop(theta1, theta2, delta, k_max
     # the same floats
     assert repr(kronecker_gap_demo(theta1, theta2, k_max, delta)) == repr(
         kronecker_reference(theta1, theta2, k_max, delta))
+
+
+# the literal alphabet, with whitespace, signs after signs, unbalanced
+# parentheses and non-ASCII digits (ARABIC-INDIC THREE, FULLWIDTH FIVE)
+LITERAL_TOKENS = ("0", "1", "2", "3", "12", "/", "/0", "*", "+", "-", "(", ")", "sqrt",
+                  "sqrt(", "sqrt(-1)", "sqrt(2)", "sqrt(-3)", "sqrt(5)", "sqrt(4)",
+                  " ", "\n", "\t", "٣", "５")
+literal_junk = st.lists(st.sampled_from(LITERAL_TOKENS), max_size=10).map("".join)
+literal_terms = st.builds(lambda sign, coef, star, root: f"{sign}{coef}{star}{root}",
+                          st.sampled_from(("", "+", "-", "\n", " - ")),
+                          st.sampled_from(("", "1", "3/2", "0", "12/0", "٣")),
+                          st.sampled_from(("", "*", " * ")),
+                          st.sampled_from(("", "sqrt(-1)", "sqrt(5)", "sqrt(-3)", "sqrt(2)")))
+literals = literal_junk | st.lists(literal_terms, min_size=1, max_size=3).map("".join)
+literal_fields = st.sampled_from((None, QQ, FieldDesc(-1), FieldDesc(5)))
+
+
+def _outcome(parse, *args):
+    """The parsed value, or the kind of error: every rejected literal is a
+    ValueError, as the command line reports it (exit 2)."""
+    try:
+        return parse(*args)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(literals, literal_fields)
+def test_parse_quadelem_matches_the_depth_counting_splitter(text, field):
+    assert _outcome(parse_quadelem, text, field) == _outcome(
+        parse_quadelem_reference, text, field)
+
+
+ENTRY_POOLS = tuple(tuple(map(parse_quadelem, texts)) for texts in (
+    ("0", "1", "-2", "3/2"), ("0", "-2", "sqrt(-1)", "1-sqrt(-1)"),
+    ("1", "3/2", "sqrt(5)", "1/2+1/2*sqrt(5)")))
+
+
+# the parts of "[a,b;c,d]" outside its entries, each valid as the first
+# choice, and the other choices that may stand in for one of them
+MATRIX_PARTS = (("[", " [", "", "(["), (",", ",(", ")", "\n,", ""), (";", ",", ";;", "(;)"),
+                (",", ";", "),", "(,"), ("]", "]\n", ")]", ""))
+
+
+@st.composite
+def matrix_literals(draw):
+    """[1,b;c,1+bc], of determinant 1, with drawn whitespace, and at most one
+    of its brackets, separators or entries replaced by a drawn alternative."""
+    pool = draw(st.sampled_from(ENTRY_POOLS))
+    b, c = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+    entries = [draw(st.sampled_from(("", " ", "\t"))) + format_quadelem(e)
+               for e in (QuadElem.rational(1), b, c, 1 + b * c)]
+    parts = [choices[0] for choices in MATRIX_PARTS]
+    changed = draw(st.integers(-4, len(parts) + 3))
+    if 0 <= changed < len(parts):
+        parts[changed] = draw(st.sampled_from(MATRIX_PARTS[changed]))
+    elif changed >= len(parts):
+        entries[changed - len(parts)] = draw(literals)
+    return "".join(p + e for p, e in zip(parts, entries)) + parts[-1]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(matrix_literals(), literal_fields)
+def test_parse_mat2_matches_the_depth_counting_splitter(text, field):
+    assert _outcome(parse_mat2, text, field) == _outcome(parse_mat2_reference, text, field)
+
+
+def test_a_trailing_newline_still_ends_a_term():
+    # "$" in the term pattern matches before a trailing newline
+    assert parse_quadelem("1\n+2") == parse_quadelem_reference("1\n+2") == QuadElem.rational(3)

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from tracelab import (BudgetExceededError, FieldDesc, FieldMismatchError,
                       PreconditionError, QQ,
                       QuadElem, RingOfIntegers, UnsupportedRingError, bezout,
-                      bezout_bounded, format_quadelem, m1_constant,
+                      bezout_bounded, delta_c_set, format_quadelem, m1_constant,
                       m2_constant, parse_quadelem, ring_of_integers)
 from tracelab.qfield import (FACTOR_BOUND, divides, divmod_ring, gcd_ring, is_primary,
                              prime_power_factor)
@@ -121,8 +124,20 @@ class TestRingOfIntegers:
             assert ring is ring_of_integers(FieldDesc(d))
             assert (ring.t, ring.n) == (t, n)
             assert ring.omega * ring.omega == ring.omega * t - n
-        zz = RingOfIntegers.integers()
-        assert zz is RingOfIntegers.integers() and (zz.t, zz.n) == (0, 0)
+        zz = RingOfIntegers(QQ)
+        assert zz is RingOfIntegers(QQ) and (zz.t, zz.n) == (0, 0)
+
+    def test_constructor_returns_the_one_ring(self):
+        r = RingOfIntegers(FieldDesc(-1))
+        assert r is ring_of_integers(FI) is parse_quadelem("sqrt(-1)").ring
+        assert copy.deepcopy(r) is r and pickle.loads(pickle.dumps(r)) is r
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.t = 1
+        i = parse_quadelem("sqrt(-1)")
+        assert r.element(0, 1) == i and r.element(0, 1) + i == q(0, 2, FI)
+        u, v = bezout(r.element(3), r.element(0, 1), r)
+        assert (u * 3 + v * i - 1).is_zero()
+        assert delta_c_set(q(Fraction(3, 2), 0, FI), r, 1, 1).ring is r
 
     def test_omega_is_integral_and_lattice_closed(self, rng):
         for d in (-1, -2, -3, -7, -11, 5):
@@ -195,18 +210,18 @@ class TestBezout:
         assert q(-1, 1, FI) * r + q(1, 0, FI) * s == q(1, 0, FI)
 
     def test_not_coprime(self):
-        ring = RingOfIntegers.integers()
+        ring = RingOfIntegers(QQ)
         assert bezout(q(2), q(4), ring) is None
         assert common_divisors(q(2), q(4), ring)
 
     def test_unit_operand(self):
-        ring = RingOfIntegers.integers()
+        ring = RingOfIntegers(QQ)
         u, v = bezout(q(1), q(712), ring)
         assert u * q(1) + v * q(712) == q(1)
 
     def test_random_contract(self, rng):
         for d in (None, -1, -2, -3, -7, -11):
-            ring = (RingOfIntegers.integers() if d is None
+            ring = (RingOfIntegers(QQ) if d is None
                     else ring_of_integers(FieldDesc(d)))
             fld = ring.field
             for _ in range(60):
@@ -231,7 +246,7 @@ class TestBezout:
 
     def test_division_tie_break(self):
         # quotient exactly halfway rounds toward the smaller integer
-        ring = RingOfIntegers.integers()
+        ring = RingOfIntegers(QQ)
         quo, rem = divmod_ring(q(3), q(2), ring)
         assert quo == q(1) and rem == q(1)
         quo, rem = divmod_ring(q(-3), q(2), ring)
@@ -255,7 +270,7 @@ class TestBezout:
 
 class TestBezoutBounded:
     def test_integer_example(self):
-        ring = RingOfIntegers.integers()
+        ring = RingOfIntegers(QQ)
         r, s, s1 = q(3), q(4), q(2)
         u, v = bezout_bounded(r, s, s1, ring)
         assert u * r + v * s == q(1)
@@ -273,14 +288,14 @@ class TestBezoutBounded:
     def test_unit_r_correction(self):
         # with r a unit the reduced v is 0, which is never coprime to s1;
         # the v + r correction must kick in
-        ring = RingOfIntegers.integers()
+        ring = RingOfIntegers(QQ)
         u, v = bezout_bounded(q(1), q(8), q(2), ring)
         assert u * q(1) + v * q(8) == q(1)
         assert not v.is_zero()
         assert math.gcd(int(v.a), 2) == 1
 
     def test_preconditions(self):
-        ring = RingOfIntegers.integers()
+        ring = RingOfIntegers(QQ)
         with pytest.raises(PreconditionError):
             bezout_bounded(q(2), q(4), q(2), ring)  # (r, s) != 1
         with pytest.raises(PreconditionError):
@@ -290,7 +305,7 @@ class TestBezoutBounded:
 
     def test_randomized_contract(self, rng):
         for d in (None, -1, -3):
-            ring = (RingOfIntegers.integers() if d is None
+            ring = (RingOfIntegers(QQ) if d is None
                     else ring_of_integers(FieldDesc(d)))
             checked = 0
             while checked < 40:
@@ -339,7 +354,7 @@ class TestPrimePowerFactor:
 
     def test_exact_below_the_square_of_the_bound(self):
         assert FACTOR_BOUND == 2 ** 17
-        zz = RingOfIntegers.integers()
+        zz = RingOfIntegers(QQ)
         prime = 2 ** 34 - 41  # the largest prime below FACTOR_BOUND^2
         assert prime_power_factor(zz.element(prime), zz) == zz.element(prime)
         assert prime_power_factor(zz.element(2 * prime), zz) == zz.element(2)
@@ -349,7 +364,7 @@ class TestPrimePowerFactor:
 
     def test_past_the_bound_is_budget_exceeded(self):
         # 131101 and 131111 are the least primes above FACTOR_BOUND
-        zz = RingOfIntegers.integers()
+        zz = RingOfIntegers(QQ)
         with pytest.raises(BudgetExceededError, match="trial-division bound"):
             prime_power_factor(zz.element(131101 * 131111), zz)
         gauss = ring_of_integers(FI)

@@ -25,3 +25,33 @@ def test_ring_rule_has_one_owner(rule):
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if rule in line]
     assert len(lines) == 1, f"{rule!r} written on {lines}"
+
+
+def _lines_with(text):
+    return [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if text in line]
+
+
+@pytest.mark.parametrize("text", ["90_000", "finite points"],
+                         ids=["default-pair-budget", "finite-points-message"])
+def test_written_once(text):
+    # the default pair budget and the precondition of unit cells each have
+    # one owner, which the other modules import
+    lines = _lines_with(text)
+    assert len(lines) == 1, f"{text!r} written on {lines}"
+
+
+def test_unit_cells_have_one_owner():
+    # math.floor of a point's coordinates appears only in analytics._cells,
+    # which cluster_counts and gap share with its finite-points precondition
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                users |= {(path.name, func.name) for node in ast.walk(func)
+                          if getattr(node, "attr", getattr(node, "id", None)) == "floor"}
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and "floor" in [alias.name for alias in node.names]], path.name
+    assert users == {("analytics.py", "_cells")}

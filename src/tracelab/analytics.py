@@ -61,8 +61,8 @@ def cluster_counts(points: Iterable[Number]) -> ClusterGrid:
 # -- gap and growth ---------------------------------------------------------
 
 def gap(points: Sequence[Number]) -> float:
-    """Minimum pairwise distance over distinct points, each with a unit
-    cell (_cells)."""
+    """Minimum pairwise distance over distinct points; a point with an
+    infinite or NaN coordinate raises PreconditionError, as in _cells."""
     pts = list(dict.fromkeys(complex(p) for p in points))
     if len(pts) < 2:
         raise PreconditionError("gap requires at least 2 distinct points")

@@ -52,6 +52,7 @@ GOOD_VALUES = {
 VALUES = ("0", "-1", "1", "2", "3/2", "nan", "inf", "1e400", "1/0", "abc", "",
           "sqrt(-1)", "1/2+1/2*sqrt(-1)", "1" * 4400)
 
+
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
     ap = build_parser()
     return next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
@@ -135,6 +136,7 @@ def command_lines(draw, spec_files):
         pool = good if draw(st.integers(0, 7)) < 7 else (*VALUES, "nope", "missing.json")
         argv += [flag, draw(st.sampled_from(tuple(pool)))]
     return argv
+
 
 def test_fuzz_exit_contract(spec_files):
     @settings(max_examples=500, deadline=None, database=None)

@@ -388,9 +388,10 @@ class RingOfIntegers:
         if ring is None:
             d = field.d
             t, n = (0, 0) if d is None else (1, (1 - d) // 4) if d % 4 == 1 else (0, -d)
-            ring = _RINGS[d] = object.__new__(cls)
+            ring = object.__new__(cls)
             for name, value in (("field", field), ("t", t), ("n", n), ("s", 2 - t)):
                 object.__setattr__(ring, name, value)
+            ring = _RINGS.setdefault(d, ring)  # stored once built; the first one wins
         return ring
 
     def __reduce__(self):

@@ -16,21 +16,19 @@ def test_self_checks_survive_optimized_mode(path):
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
 
 
+def _lines_with(text):
+    return [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if text in line]
+
+
 @pytest.mark.parametrize("rule", ["% 4 == 1", "2 - t"],
                          ids=["omega-rule", "basis-change"])
 def test_ring_rule_has_one_owner(rule):
     # the choice of omega and the change from (1, omega) to (1, sqrt(d))
     # are each written once, in qfield.RingOfIntegers
-    lines = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
-             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-             if rule in line]
+    lines = _lines_with(rule)
     assert len(lines) == 1, f"{rule!r} written on {lines}"
-
-
-def _lines_with(text):
-    return [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
-            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-            if text in line]
 
 
 @pytest.mark.parametrize("text", ["90_000", "finite points"],

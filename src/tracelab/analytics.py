@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, FieldMismatchError, PreconditionError
 from .qfield import (QuadElem, RingOfIntegers, _bezout_bounded_unchecked, gcd_ring,
-                     m2_constant, prime_power_factor)
+                     m_power_sign, prime_power_factor)
 
 Number = Union[int, float, complex, Fraction]
 EULER_GAMMA = 0.5772156649015329
@@ -433,11 +433,6 @@ def _abs_mp(x: QuadElem):
     return mpmath.sqrt(mpmath.mpf(n.numerator) / mpmath.mpf(n.denominator))
 
 
-def _log_abs(x: QuadElem) -> float:
-    n = x.norm()
-    return 0.5 * (math.log(n.numerator) - math.log(n.denominator))
-
-
 def _half_norm_bound(x: QuadElem) -> bool:
     """|x| <= 1/2, exactly."""
     n = x.norm()  # equals |x|^2 for rational and imaginary quadratic fields
@@ -452,6 +447,32 @@ def lowest_terms(c: QuadElem, ring: RingOfIntegers) -> tuple[QuadElem, QuadElem]
     p, q = p0 / g, q0 / g
     unit = ring.canonical_associate(q) / q
     return p * unit, q * unit
+
+
+def _exponent_schedule(p: QuadElem, q: QuadElem, ring: RingOfIntegers, n: int,
+                       m1: int) -> list[int]:
+    """f(0) = 0 and, for j = 1..n, the least f(j) = 2^k - 1 > f(j-1) with
+    N(q)^(2^k) >= 4 M^(2j) N(p)^(1 + f(0) + ... + f(j-1)): the bound
+    |q|^f(j) >= 2 M^j |c| prod_{i<j} |p|^f(i), c = p/q, squared, as
+    |x|^2 = N(x) over Z and the imaginary rings. Raises BudgetExceededError
+    once p^f(i), q^f(i), i <= j, would pass WITNESS_BIT_BUDGET bits in all."""
+    norm_p, norm_q = int(p.norm()), int(q.norm())
+    if norm_q <= 1:
+        raise AssertionError("the reduced denominator q is a unit")
+    log_pq = 0.5 * math.log(max(norm_p, norm_q))  # log max(|p|, |q|)
+    # 2^k - 1, as c^(2^k) = (p/q)^(2^k - 1) * c
+    f = [0]
+    for j in range(1, n + 1):
+        rhs = 4 * norm_p ** (1 + sum(f))
+        k = f[-1].bit_length() + 1  # the least k with 2^k - 1 > f(j-1)
+        while m_power_sign(norm_q ** (2 ** k), rhs, j, ring, m1) < 0:
+            k += 1
+        f.append(2 ** k - 1)
+        if sum(f) * log_pq > WITNESS_BIT_BUDGET * math.log(2):
+            raise BudgetExceededError(
+                f"the witness powers p^f(i), q^f(i), i <= {j}, with f({j}) = {f[-1]}, "
+                f"would pass the {WITNESS_BIT_BUDGET}-bit budget of an exact witness")
+    return f
 
 
 def delta_c_cluster_witness(c: QuadElem, ring: RingOfIntegers, n: int,
@@ -482,33 +503,7 @@ def delta_c_cluster_witness(c: QuadElem, ring: RingOfIntegers, n: int,
         raise PreconditionError("c is an algebraic integer: Delta_c clusters boundedly")
     p, q = lowest_terms(c, ring)
     q1 = prime_power_factor(q, ring)
-    m2 = m2_constant(ring)
-    big_m = max(m1, m2)
-    log_p, log_q, log_c = _log_abs(p), _log_abs(q), _log_abs(c)
-    if log_q <= 0:
-        raise AssertionError("the reduced denominator q is a unit")
-
-    # g(k) = 2^k - 1 satisfies c^(2^k) = (p/q)^g(k) * c
-    f = [0]
-    for j in range(1, n + 1):
-        target = math.log(2) + j * math.log(big_m) + log_c + sum(fi * log_p for fi in f)
-        k = 1
-        while (2 ** k - 1) <= f[-1] or (2 ** k - 1) * log_q < target - 1e-9:
-            k += 1
-        if (2 ** k - 1) * log_q < target + 1e-9:
-            # near-tie: re-decide at high precision
-            import mpmath
-            with mpmath.workdps(80):
-                lq = mpmath.log(_abs_mp(q))
-                tgt = (mpmath.log(2) + j * mpmath.log(big_m) + mpmath.log(_abs_mp(c))
-                       + sum(fi * mpmath.log(_abs_mp(p)) for fi in f))
-                while (2 ** k - 1) * lq < tgt:
-                    k += 1
-        f.append(2 ** k - 1)
-        if sum(f) * max(log_p, log_q) > WITNESS_BIT_BUDGET * math.log(2):
-            raise BudgetExceededError(
-                f"the witness powers p^f(i), q^f(i), i <= {j}, with f({j}) = {f[-1]}, "
-                f"would pass the {WITNESS_BIT_BUDGET}-bit budget of an exact witness")
+    f = _exponent_schedule(p, q, ring, n, m1)
 
     pq = p / q
 

@@ -23,7 +23,7 @@ from .analytics import (CELLS_NEED_FINITE_POINTS, cluster_counts,
                         rn_two_to_one_check, totient_sum_check)
 from .arithmeticity import subtraction_closure_check, takeuchi_verdict
 from .errors import BudgetExceededError, PreconditionError
-from .groups import (DEFAULT_CAP, DEFAULT_PAIR_BUDGET, GroupSpec, catalog,
+from .groups import (DEFAULT_CAP, DEFAULT_PAIR_BUDGET, Ball, GroupSpec, catalog,
                      enumerate_ball, load_group_spec, trace_set)
 from .qfield import (QQ, FieldDesc, QuadElem, RingOfIntegers, format_quadelem,
                      parse_quadelem, ring_of_integers)
@@ -77,10 +77,13 @@ def _budget_default() -> int:
         raise ValueError(f"{BUDGET_ENV} must be an integer, not {raw!r}") from None
 
 
-def _resolve_group(args) -> GroupSpec:
-    if args.spec_file is not None:
-        return load_group_spec(args.spec_file)
-    return catalog(args.group)
+def _group_ball(args) -> tuple[GroupSpec, Ball]:
+    """The group of --group or --spec-file and its ball of --radius, within
+    --cap elements (default: $TRACELAB_BUDGET, else DEFAULT_CAP)."""
+    cap = _budget_default() if args.cap is None else args.cap
+    spec = (load_group_spec(args.spec_file) if args.spec_file is not None
+            else catalog(args.group))
+    return spec, enumerate_ball(spec, args.radius, cap)
 
 
 def _ring_from_flag(text: str) -> RingOfIntegers:
@@ -158,8 +161,7 @@ def _embedded_rows(values) -> list[list]:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_enumerate(args) -> Report:
-    spec = _resolve_group(args)
-    ball = enumerate_ball(spec, args.radius, args.cap)
+    spec, ball = _group_ball(args)
     per_radius = ball.per_radius_counts()
     payload = {
         "command": "enumerate",
@@ -175,8 +177,7 @@ def cmd_enumerate(args) -> Report:
 
 
 def cmd_traces(args) -> Report:
-    spec = _resolve_group(args)
-    ball = enumerate_ball(spec, args.radius, args.cap)
+    spec, ball = _group_ball(args)
     ts = trace_set(ball, reduced=not args.all)
     rows = [row + [ts.provenance[t]] for t, row in zip(ts.exact, _embedded_rows(ts.exact))]
     payload = {
@@ -194,8 +195,7 @@ def cmd_traces(args) -> Report:
 
 
 def cmd_cluster(args) -> Report:
-    spec = _resolve_group(args)
-    ball = enumerate_ball(spec, args.radius, args.cap)
+    spec, ball = _group_ball(args)
     ts = trace_set(ball)
     grid = cluster_counts(ts.embedded)
     cells = sorted(grid.counts.items())
@@ -219,8 +219,7 @@ def cmd_cluster(args) -> Report:
 
 
 def cmd_gap(args) -> Report:
-    spec = _resolve_group(args)
-    ball = enumerate_ball(spec, args.radius, args.cap)
+    spec, ball = _group_ball(args)
     ts = trace_set(ball)
     val = gap(ts.embedded)
     payload = {"command": "gap", "group": spec.name, "radius": ball.radius,
@@ -230,8 +229,7 @@ def cmd_gap(args) -> Report:
 
 
 def cmd_growth(args) -> Report:
-    spec = _resolve_group(args)
-    ball = enumerate_ball(spec, args.radius, args.cap)
+    spec, ball = _group_ball(args)
     ts = trace_set(ball)
     ns = list(range(1, args.max_n + 1))
     counts, slope = growth_profile(ts.embedded, ns)
@@ -244,8 +242,7 @@ def cmd_growth(args) -> Report:
 
 
 def cmd_arith_check(args) -> Report:
-    spec = _resolve_group(args)
-    ball = enumerate_ball(spec, args.radius, args.cap)
+    spec, ball = _group_ball(args)
     report = takeuchi_verdict(ball, pair_budget=args.pair_budget)
     payload = {"command": "arith-check", "group": spec.name,
                "expected_class": spec.expected_class, **report.to_dict()}
@@ -377,8 +374,7 @@ def cmd_kronecker(args) -> Report:
 
 
 def cmd_corollary(args) -> Report:
-    spec = _resolve_group(args)
-    ball = enumerate_ball(spec, args.radius, args.cap)
+    spec, ball = _group_ball(args)
     ts = trace_set(ball)
     rep = subtraction_closure_check(ts, args.window)
     payload = {
@@ -476,8 +472,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if hasattr(args, "cap") and args.cap is None:
-            args.cap = _budget_default()
         command = globals()["cmd_" + args.command.replace("-", "_")]
         _emit(command(args), args)
     except BudgetExceededError as exc:

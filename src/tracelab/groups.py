@@ -4,6 +4,7 @@ exact fields, a catalog of standard groups, and trace-set extraction."""
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -132,10 +133,11 @@ class TraceSet:
 
     def restrict(self, radius: int) -> "TraceSet":
         """Traces first realized at word length <= radius."""
-        kept = [t for t in self.exact if self.provenance[t] <= radius]
-        return TraceSet(tuple(kept), tuple(t.embed() for t in kept),
-                        {t: self.provenance[t] for t in kept},
-                        self.reduced, radius)
+        prov = self.provenance
+        keep = [prov[t] <= radius for t in self.exact]
+        exact = tuple(itertools.compress(self.exact, keep))
+        return TraceSet(exact, tuple(itertools.compress(self.embedded, keep)),
+                        {t: prov[t] for t in exact}, self.reduced, radius)
 
 
 def _sorted_traces(prov: dict[QuadElem, int]) -> list[QuadElem]:

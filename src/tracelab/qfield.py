@@ -532,17 +532,20 @@ def m2_constant(ring: RingOfIntegers) -> float:
     return math.sqrt(1 + ring.field.d ** 2) + 1
 
 
-def _norm_sq_bound_holds(v: QuadElem, r: QuadElem, ring: RingOfIntegers) -> bool:
-    """Exact check of |v| <= M2 |r| via N(v) <= M2^2 N(r)."""
-    nv, nr = abs(v.norm()), abs(r.norm())
-    if ring.is_rational:
-        return nv <= 4 * nr
-    dd = ring.field.d ** 2
-    # M2^2 = (2 + dd) + 2*sqrt(1 + dd)
-    lhs = nv - (2 + dd) * nr
-    if lhs <= 0:
-        return True
-    return lhs * lhs <= 4 * (1 + dd) * nr * nr
+def m_power_sign(x: Rational, y: Rational, j: int, ring: RingOfIntegers,
+                 m1: int = 1) -> int:
+    """The exact sign of x - y*M^(2j), with M = max(m1, M2), for y >= 0."""
+    dd = 0 if ring.is_rational else ring.field.d ** 2
+    # M^2 = a + b*sqrt(1 + dd) is m1^2 when m1 >= M2, else M2^2. That test
+    # is exact: an int and a float compare exactly, and M2 is 2 over Z, else
+    # irrational and, over the Euclidean rings, 0.04 or more from any integer
+    a, b = ((m1 * m1, 0) if m1 >= m2_constant(ring) else (4, 0) if ring.is_rational
+            else (2 + dd, 2))
+    pa, pb = 1, 0  # M^(2j) = pa + pb*sqrt(1 + dd)
+    for _ in range(j):
+        pa, pb = pa * a + pb * b * (1 + dd), pa * b + pb * a
+    # where pb != 0, 1 + dd = 1 + d^2 is not a square, as embedded_sign needs
+    return embedded_sign(x - y * pa, -y * pb, 1 + dd)
 
 
 # -- Euclidean division and Bezout -----------------------------------------
@@ -569,22 +572,25 @@ def divmod_ring(x: QuadElem, y: QuadElem, ring: RingOfIntegers) -> tuple[QuadEle
     if ring.is_rational:
         q = ring.element(_nearest_int(t0, den))
         return q, x - q * y
-    best = None
-    best_key = None
+    # t lies between the rows n0 and n0 + 1 of points m + n*omega, and so do
+    # its nearest point and every point tied with it: rows lie Im(omega)
+    # apart, more than the covering radius of the ring (1 > 0.71,
+    # 1.41 > 0.87, 0.87 > 0.58, 1.32 > 0.76, 1.66 > 0.90 for d = -1, -2, -3,
+    # -7, -11)
     n0 = t1 // den
-    for n in range(n0 - 1, n0 + 3):
-        # with n fixed, Re(t - (m + n*omega)) = Re((t0 + (t1 - n*den)*omega)/den) - m
-        m0 = ring.doubled(t0, t1 - n * den)[0] // (2 * den)
-        for m in range(m0 - 1, m0 + 3):
-            # N(t - (m + n*omega)) * den^2, then the doubled a and b of m + n*omega
-            key = (ring.norm(t0 - m * den, t1 - n * den), *ring.doubled(m, n))
-            if best_key is None or key < best_key:
-                best, best_key = (m, n), key
-    q = ring.element(*best)
+    keys = []
+    for n in (n0, n0 + 1):
+        # Re(t - n*omega) = Re((t0 + (t1 - n*den)*omega)/den) rounds to m; the
+        # key is N(t - (m + n*omega)) * den^2, then the doubled a and b of
+        # m + n*omega
+        m = _nearest_int(ring.doubled(t0, t1 - n * den)[0], 2 * den)
+        keys.append((ring.norm(t0 - m * den, t1 - n * den), *ring.doubled(m, n), m, n))
+    q = ring.element(*min(keys)[-2:])
     r = x - q * y
     if abs(r.norm()) >= abs(y.norm()):
         raise AssertionError("division failed to reduce the norm")
     return q, r
+
 
 def gcd_ring(x: QuadElem, y: QuadElem, ring: RingOfIntegers) -> QuadElem:
     while not y.is_zero():
@@ -725,6 +731,6 @@ def _bezout_bounded_unchecked(r: QuadElem, s: QuadElem, s1: QuadElem, ring: Ring
             raise AssertionError("Bezout identity failed after the v + r correction")
         if bezout(v, s1, ring) is None:
             raise PreconditionError("bezout_bounded correction failed: (v, s1) != 1")
-    if not _norm_sq_bound_holds(v, r, ring):
+    if m_power_sign(v.norm(), r.norm(), 1, ring) > 0:  # N(v) > M2^2 N(r)
         raise AssertionError("remainder bound |v| <= M2|r| violated")
     return u, v

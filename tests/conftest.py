@@ -10,11 +10,14 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
+import mpmath
 import pytest
 
-from tracelab import (Ball, FieldDesc, FieldMismatchError, Mat2, PreconditionError, QQ,
-                      QuadElem, RingOfIntegers, canonical_trace)
-from tracelab.qfield import _TERM_RE, _common_field, _parse_rat
+from tracelab import (Ball, BudgetExceededError, FieldDesc, FieldMismatchError, Mat2,
+                      PreconditionError, QQ, QuadElem, RingOfIntegers, canonical_trace,
+                      m2_constant)
+from tracelab.analytics import WITNESS_BIT_BUDGET
+from tracelab.qfield import _TERM_RE, _common_field, _nearest_int, _parse_rat
 from tracelab.cli import main
 
 
@@ -425,3 +428,66 @@ def parse_mat2_reference(text: str, field: Optional[FieldDesc] = None) -> Mat2:
     if field is not None and not field.is_rational:
         f = _common_field(f, field)
     return Mat2(*(QuadElem(RingOfIntegers(f), e.den, e.x0, e.x1) for e in elems))
+
+
+# -- the candidate search: the reference for divmod_ring -------------------
+
+def divmod_ring_reference(x: QuadElem, y: QuadElem, ring) -> tuple[QuadElem, QuadElem]:
+    """qfield.divmod_ring as it searched 16 candidate quotients, 4 on each of
+    the rows n0 - 1 .. n0 + 2 over the imaginary rings, for the least key
+    (norm, doubled a, doubled b)."""
+    t = x / y
+    t0, t1, den = t.x0, t.x1, t.den
+    if ring.is_rational:
+        q = ring.element(_nearest_int(t0, den))
+        return q, x - q * y
+    best = None
+    best_key = None
+    n0 = t1 // den
+    for n in range(n0 - 1, n0 + 3):
+        m0 = ring.doubled(t0, t1 - n * den)[0] // (2 * den)
+        for m in range(m0 - 1, m0 + 3):
+            key = (ring.norm(t0 - m * den, t1 - n * den), *ring.doubled(m, n))
+            if best_key is None or key < best_key:
+                best, best_key = (m, n), key
+    q = ring.element(*best)
+    return q, x - q * y
+
+
+# -- the float schedule: the reference for analytics._exponent_schedule ----
+
+def exponent_schedule_reference(p: QuadElem, q: QuadElem, ring, n: int,
+                                m1: int) -> list[int]:
+    """The witness's exponent schedule as it compared float logarithms with
+    a 1e-9 tolerance and re-decided near-ties in 80-digit mpmath, with M2
+    rounded to a float."""
+    def log_abs(x):
+        nrm = x.norm()
+        return 0.5 * (math.log(nrm.numerator) - math.log(nrm.denominator))
+
+    def abs_mp(x):
+        nrm = x.norm()
+        return mpmath.sqrt(mpmath.mpf(nrm.numerator) / mpmath.mpf(nrm.denominator))
+
+    c = p / q
+    big_m = max(m1, m2_constant(ring))
+    log_p, log_q, log_c = log_abs(p), log_abs(q), log_abs(c)
+    f = [0]
+    for j in range(1, n + 1):
+        target = math.log(2) + j * math.log(big_m) + log_c + sum(fi * log_p for fi in f)
+        k = 1
+        while (2 ** k - 1) <= f[-1] or (2 ** k - 1) * log_q < target - 1e-9:
+            k += 1
+        if (2 ** k - 1) * log_q < target + 1e-9:
+            with mpmath.workdps(80):
+                lq = mpmath.log(abs_mp(q))
+                tgt = (mpmath.log(2) + j * mpmath.log(big_m) + mpmath.log(abs_mp(c))
+                       + sum(fi * mpmath.log(abs_mp(p)) for fi in f))
+                while (2 ** k - 1) * lq < tgt:
+                    k += 1
+        f.append(2 ** k - 1)
+        if sum(f) * max(log_p, log_q) > WITNESS_BIT_BUDGET * math.log(2):
+            raise BudgetExceededError(
+                f"the witness powers p^f(i), q^f(i), i <= {j}, with f({j}) = {f[-1]}, "
+                f"would pass the {WITNESS_BIT_BUDGET}-bit budget of an exact witness")
+    return f

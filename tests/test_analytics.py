@@ -333,6 +333,19 @@ class TestDeltaWitness:
         with pytest.raises(BudgetExceededError, match=r"f\(6\) = 4095"):
             delta_c_cluster_witness(q(Fraction(3, 2)), zz, 6)
 
+    def test_schedule_takes_the_least_exponent_at_a_tie(self):
+        # c = (1+3i)/10 over Z[i] with M1 = 5: N(q)^2 = 100 = 4 * 5^2 * N(p)
+        # at j = 1, so f(1) = 1 meets the bound with equality; the float
+        # schedule rounded past it to f = (0, 3, 7, 15)
+        ring = ring_of_integers(FI)
+        wit = delta_c_cluster_witness(q(Fraction(1, 10), Fraction(3, 10), FI), ring, 3, m1=5)
+        assert wit.f_values == (0, 1, 3, 7)
+        assert wit.max_deviation() == 0.5
+        # c = 1/2 over Z ties at every j, and the float schedule already took
+        # the least exponent there
+        wit = delta_c_cluster_witness(q(Fraction(1, 2)), RingOfIntegers(QQ), 4)
+        assert wit.f_values == (0, 1, 3, 7, 15)
+
     @pytest.mark.parametrize("n", [1, 3])
     def test_witness_factors_the_denominator_once(self, monkeypatch, n):
         # q1 is a primary factor of q by construction; the Bezout steps
@@ -406,3 +419,21 @@ def test_import_leaves_mpmath_unloaded():
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
         check=True, timeout=60)
     assert out.stdout == "False\n"
+
+
+def test_witness_leaves_mpmath_unloaded():
+    # the schedule is decided from exact norms; of the witness, only
+    # max_deviation needs mpmath
+    src = Path(tracelab.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from tracelab import FieldDesc, delta_c_cluster_witness, parse_quadelem, "
+         "ring_of_integers\n"
+         "ring = ring_of_integers(FieldDesc(-1))\n"
+         "c = parse_quadelem('1/10+3/10*sqrt(-1)', ring.field)\n"
+         "wit = delta_c_cluster_witness(c, ring, 3, m1=5)\n"
+         "print(wit.f_values, 'mpmath' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        check=True, timeout=60)
+    assert out.stdout == "(0, 1, 3, 7) False\n"

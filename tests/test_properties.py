@@ -7,27 +7,32 @@ evaluation, QuadElem against the Fraction reference path, delta_c_set
 against the QuadElem reference path, the `delta-c` csv and data tables
 against the row-by-row writer, cluster_counts against the point-by-point
 loop, the early float-range exit of `delta-c` against the exact path,
-the bisected Kronecker envelope against the exhaustive loop, and the
-literal parsers against the depth-counting splitters."""
+the bisected Kronecker envelope against the exhaustive loop, the
+literal parsers against the depth-counting splitters, the two-row division
+step against the 16-candidate search, and the exact exponent schedule of
+the witness against the float one."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tracelab import (QQ, FieldDesc, GroupSpec, Mat2, PreconditionError, ProjMat,
-                      QuadElem, RingOfIntegers, canonical_trace, cluster_counts,
-                      delta_c_set, enumerate_ball, format_mat2, format_quadelem,
-                      kronecker_gap_demo,
+from tracelab import (QQ, BudgetExceededError, FieldDesc, GroupSpec, Mat2,
+                      PreconditionError, ProjMat, QuadElem, RingOfIntegers,
+                      canonical_trace, cluster_counts, delta_c_set, enumerate_ball,
+                      format_mat2, format_quadelem, kronecker_gap_demo,
                       parse_mat2, parse_quadelem, ring_of_integers, trace_set)
+from tracelab.analytics import _exponent_schedule, lowest_terms
 from tracelab.cli import _beyond_float_range, _ring_from_flag
 from tracelab.groups import group_spec_from_dict
-from tracelab.qfield import embedded_sign
+from tracelab.qfield import divmod_ring, embedded_sign, m2_constant
 
 from conftest import (FracQuad, cli_output, cluster_counts_reference, delta_c_reference,
-                      delta_c_tables_reference, kronecker_reference, mat2_canonical,
+                      delta_c_tables_reference, divmod_ring_reference,
+                      exponent_schedule_reference, kronecker_reference, mat2_canonical,
                       mat2_is_identity, mat2_least_traces, parse_mat2_reference,
                       parse_quadelem_reference)
 
@@ -460,3 +465,79 @@ def test_parse_mat2_matches_the_depth_counting_splitter(text, field):
 def test_a_trailing_newline_still_ends_a_term():
     # "$" in the term pattern matches before a trailing newline
     assert parse_quadelem("1\n+2") == parse_quadelem_reference("1\n+2") == QuadElem.rational(3)
+
+
+EUCLIDEAN_DS = (None, -1, -2, -3, -7, -11)
+division_coords = st.integers(-6, 6) | st.integers(-10 ** 400, 10 ** 400)
+
+
+def _euclidean_ring(d):
+    return RingOfIntegers(QQ) if d is None else ring_of_integers(FieldDesc(d))
+
+
+@st.composite
+def division_inputs(draw):
+    """(x, y, ring) over Z and the five Euclidean imaginary rings: y a small
+    nonzero integer, so that quotients often tie, and x with coordinates up
+    to 10^400 over a denominator of 1 to 6."""
+    ring = _euclidean_ring(draw(st.sampled_from(EUCLIDEAN_DS)))
+    small = st.integers(-3, 3)
+    y0, y1 = draw(small), 0 if ring.is_rational else draw(small)
+    if y0 == y1 == 0:
+        y0 = draw(st.sampled_from((-2, -1, 1, 2)))
+    x0, x1 = draw(division_coords), 0 if ring.is_rational else draw(division_coords)
+    return QuadElem(ring, draw(st.integers(1, 6)), x0, x1), ring.element(y0, y1), ring
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(division_inputs())
+def test_divmod_ring_agrees_with_the_candidate_search(drawn):
+    x, y, ring = drawn
+    assert divmod_ring(x, y, ring) == divmod_ring_reference(x, y, ring)
+
+
+@st.composite
+def schedule_inputs(draw):
+    """(p, q, ring, n, m1): c = p/q in lowest terms, non-integral, from
+    coordinates in [-15, 15] over a denominator of 2 to 12, over Z and the
+    five Euclidean imaginary rings; m1 from 1 to 14 reaches past every M2."""
+    ring = _euclidean_ring(draw(st.sampled_from(EUCLIDEAN_DS)))
+    coord = st.integers(-15, 15)
+    c = QuadElem(ring, draw(st.integers(2, 12)), draw(coord),
+                 0 if ring.is_rational else draw(coord))
+    if ring.contains(c):
+        c = c + QuadElem(ring, 2, 1, 0)
+    return (*lowest_terms(c, ring), ring, draw(st.integers(1, 4)), draw(st.integers(1, 14)))
+
+
+def _last_exponent(schedule, *args) -> tuple[int, bool]:
+    """(f(n), whether the bit budget refused it)."""
+    try:
+        return schedule(*args)[-1], False
+    except BudgetExceededError as exc:
+        return int(re.search(r"with f\(\d+\) = (\d+)", str(exc)).group(1)), True
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(schedule_inputs())
+def test_exponent_schedule_agrees_with_the_float_schedule(drawn):
+    # the two agree up to the first j where the squared bound
+    # N(q)^(2^k) >= 4 M^(2j) N(p)^(1 + f(0) + ... + f(j-1)) holds with
+    # equality; there the exact schedule takes that k, the least, and the
+    # float one may round past it. Equality needs an integral M^2.
+    p, q, ring, n, m1 = drawn
+    f = [0]
+    for j in range(1, n + 1):
+        (new, refused), old = (_last_exponent(schedule, p, q, ring, j, m1)
+                               for schedule in (_exponent_schedule, exponent_schedule_reference))
+        if (new, refused) != old:
+            big_m = m1 if m1 >= m2_constant(ring) else 2 if ring.is_rational else None
+            assert big_m is not None, "M is irrational, so the bound cannot tie"
+            rhs = 4 * big_m ** (2 * j) * int(p.norm()) ** (1 + sum(f))
+            k = new.bit_length()
+            assert int(q.norm()) ** (2 ** k) == rhs and new < old[0]
+            assert 2 ** (k - 1) - 1 <= f[-1] or int(q.norm()) ** (2 ** (k - 1)) < rhs
+            return
+        if refused:
+            return
+        f.append(new)

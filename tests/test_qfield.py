@@ -251,6 +251,32 @@ class TestBezout:
         assert quo == q(1) and rem == q(1)
         quo, rem = divmod_ring(q(-3), q(2), ring)
         assert quo == q(-2) and rem == q(1)
+        # (1+i)/2 is as near to 0, 1, i and 1+i; (1+w)/3 over
+        # Z[(1+sqrt(-3))/2] is the vertex of the Voronoi cells of 0, 1 and w.
+        # Ties go to the smaller real part, then the smaller imaginary part.
+        for d, x, y in ((-1, (1, 1), 2), (-3, (1, 1), 3)):
+            ring = ring_of_integers(FieldDesc(d))
+            quo, rem = divmod_ring(ring.element(*x), ring.element(y), ring)
+            assert quo.is_zero() and rem == ring.element(*x)
+
+    @pytest.mark.parametrize("d", [-1, -2, -3, -7, -11])
+    def test_division_step_forms_few_norms(self, monkeypatch, d):
+        # x/y costs one norm, the two candidate rows one each, and the check
+        # N(r) < N(y) two; the search over 16 candidates took 19
+        ring = ring_of_integers(FieldDesc(d))
+        x, y = ring.element(10 ** 300 + 7, -(10 ** 299) + 3), ring.element(12345, 678)
+        calls = []
+        norm = RingOfIntegers.norm
+
+        def counted(self, x0, x1):
+            calls.append((x0, x1))
+            return norm(self, x0, x1)
+
+        monkeypatch.setattr(RingOfIntegers, "norm", counted)
+        quo, rem = divmod_ring(x, y, ring)
+        assert len(calls) <= 5
+        monkeypatch.undo()
+        assert x == quo * y + rem and abs(rem.norm()) < abs(y.norm())
 
     def test_gcd_euclidean_reduces(self, rng):
         for d in (-1, -2, -3, -7, -11):

@@ -31,10 +31,11 @@ def test_ring_rule_has_one_owner(rule):
     assert len(lines) == 1, f"{rule!r} written on {lines}"
 
 
-@pytest.mark.parametrize("text", ["90_000", "finite points"],
-                         ids=["default-pair-budget", "finite-points-message"])
+@pytest.mark.parametrize("text", ["90_000", "finite points", "2 + dd"],
+                         ids=["default-pair-budget", "finite-points-message", "m2-squared"])
 def test_written_once(text):
-    # the default pair budget and the precondition of unit cells each have
+    # the default pair budget, the precondition of unit cells and the exact
+    # M2^2 = (2 + d^2) + 2*sqrt(1 + d^2) of qfield.m_power_sign each have
     # one owner, which the other modules import
     lines = _lines_with(text)
     assert len(lines) == 1, f"{text!r} written on {lines}"

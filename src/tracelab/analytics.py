@@ -16,8 +16,8 @@ from operator import add, attrgetter, eq, floordiv, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BudgetExceededError, FieldMismatchError, PreconditionError
-from .qfield import (QuadElem, RingOfIntegers, _bezout_bounded_unchecked, gcd_ring,
-                     m_power_sign, prime_power_factor)
+from .qfield import (QuadElem, RingOfIntegers, _bezout_bounded_unchecked,
+                     _sqrt_ratio_float, gcd_ring, m_power_sign, prime_power_factor)
 
 Number = Union[int, float, complex, Fraction]
 EULER_GAMMA = 0.5772156649015329
@@ -420,23 +420,11 @@ class DeltaWitness:
         return len(self.points) - 1
 
     def max_deviation(self) -> float:
-        """max_j |z_j - z_0| at 30 significant digits."""
-        import mpmath  # imported where used: it takes tens of ms to load
-        with mpmath.workdps(30):
-            return max(float(_abs_mp(zj - self.points[0])) for zj in self.points)
-
-
-def _abs_mp(x: QuadElem):
-    """|x| for x of Q or an imaginary quadratic field, where |x|^2 = N(x)."""
-    import mpmath
-    n = x.norm()
-    return mpmath.sqrt(mpmath.mpf(n.numerator) / mpmath.mpf(n.denominator))
-
-
-def _half_norm_bound(x: QuadElem) -> bool:
-    """|x| <= 1/2, exactly."""
-    n = x.norm()  # equals |x|^2 for rational and imaginary quadratic fields
-    return n <= Fraction(1, 4)
+        """max_j |z_j - z_0|, correctly rounded: the root of the largest
+        N(z_j - z_0), as |x|^2 = N(x) over Z and the imaginary rings."""
+        z0 = self.points[0]
+        top = max((zj - z0).norm() for zj in self.points)
+        return _sqrt_ratio_float(top.numerator, top.denominator)
 
 
 def lowest_terms(c: QuadElem, ring: RingOfIntegers) -> tuple[QuadElem, QuadElem]:
@@ -536,7 +524,7 @@ def delta_c_cluster_witness(c: QuadElem, ring: RingOfIntegers, n: int,
             raise AssertionError(f"lattice factor {j} not integral")
         if not (z - x * m1 * c ** (2 ** e)).is_zero():
             raise AssertionError(f"z_{j} is not m1 * x_{j} * c^(2^{e})")
-        if not _half_norm_bound(z - points[0]):
+        if (z - points[0]).abs_sign(Fraction(1, 2)) > 0:
             raise AssertionError(f"|z_{j} - z_0| > 1/2")
     return DeltaWitness(tuple(points), tuple(factors), tuple(exponents),
                         tuple(f), p, q, m1)

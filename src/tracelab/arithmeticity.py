@@ -248,24 +248,17 @@ def subtraction_closure_check(traces: TraceSet, window) -> ClosureReport:
         win = Fraction(window)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in window {window!r}") from None
+    if win < 0:
+        raise ValueError(f"negative window {window!r}")
     identities_ok = check_square_trace_identities()
     tset = set(traces.exact)
     violations = []
     pairs = 0
     exact = traces.exact
-
-    def within_window(x: QuadElem) -> bool:
-        # |x| <= W, exactly; x is canonical so its real part is nonnegative
-        if x.x1 == 0:
-            return abs(x.x0) <= win * x.den
-        if x.field.is_imaginary:
-            return x.norm() <= win * win  # norm is the squared modulus
-        return (x - win).real_sign() <= 0
-
     for i, a in enumerate(exact):
         for b in exact[i + 1:]:
             diff = canonical_trace(a - b)
-            if not within_window(diff):
+            if diff.abs_sign(win) > 0:
                 continue
             pairs += 1
             if diff not in tset:

@@ -276,9 +276,7 @@ def _beyond_float_range(c: QuadElem, k_bound: int, n_bound: int, m1: int) -> boo
         return False
     # expm1 is within an ulp; 2^-20 of slack keeps r above the bound
     r = 1 + Fraction(math.expm1(y * math.log(2))) * (1 + Fraction(1, 2 ** 20))
-    if c.field.is_rational or c.field.is_imaginary:
-        return c.norm() > r * r  # the norm is |c|^2 here
-    return c.compare_embedded(r) > 0 or c.compare_embedded(-r) < 0
+    return c.abs_sign(r) > 0
 
 
 def cmd_delta_c(args) -> Report:

@@ -41,15 +41,31 @@ def _ratio_float(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
+def _sqrt_ratio_float(num: int, den: int) -> float:
+    """sqrt(num/den) (num >= 0, den > 0) correctly rounded."""
+    # the root of num*4^k/den has 55 bits or more, so the floats near it and
+    # the midpoints between them are even: an inexact root with its last bit
+    # set (a sticky bit) rounds as the exact root does
+    k = max(0, (110 + den.bit_length() - num.bit_length()) // 2)
+    scaled = num << 2 * k
+    root = math.isqrt(scaled // den)
+    return _ratio_float(root | (root * root * den != scaled), 1 << k)
+
+
 def _is_squarefree(n: int) -> bool:
+    """Exact for |n| < FACTOR_BOUND^2. Past that, False when the square of
+    some k < FACTOR_BOUND divides n, else BudgetExceededError."""
     n = abs(n)
     if n == 0:
         return False
-    k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 1
+    top = min(math.isqrt(n), FACTOR_BOUND - 1)
+    if any(n % (k * k) == 0 for k in range(2, top + 1)):
+        return False
+    if n >= FACTOR_BOUND ** 2:
+        raise BudgetExceededError(
+            f"no square k^2 with k below the trial-division bound {FACTOR_BOUND} divides "
+            f"the {n.bit_length()}-bit field generator, so whether it is squarefree is "
+            f"undecided")
     return True
 
 
@@ -265,6 +281,17 @@ class QuadElem:
             return 0
         return (self.x1 > 0) - (self.x1 < 0)
 
+    def abs_sign(self, r: Rational) -> int:
+        """Exact sign of |x| - r, for a rational r >= 0 and |x| the modulus
+        of the principal embedding of x."""
+        if r < 0:
+            raise ValueError(f"abs_sign requires r >= 0, not {r}")
+        if self.ring.field.is_imaginary or not self.x1:  # |x|^2 = N(x) here
+            rn, rd = r.numerator, r.denominator
+            diff = self.ring.norm(self.x0, self.x1) * rd * rd - (rn * self.den) ** 2
+            return (diff > 0) - (diff < 0)
+        return max(self.compare_embedded(r), -self.compare_embedded(-r))
+
     def compare_embedded(self, other) -> int:
         """Exact comparison by embedded real part, then imaginary part."""
         ring, y = self._with(other)
@@ -292,9 +319,20 @@ _TERM_RE = re.compile(
 _TERM_SPLIT_RE = re.compile(r"(?<=[^(])(?=[+-])")
 
 
+def _digits_int(digits: str) -> int:
+    """int(digits) for decimal digits of any length, past the interpreter's
+    int/str digit limit: the low 640 * 2^j digits, the most below the
+    length, and the rest convert apart, down to parts of at most 640
+    digits, the least limit the interpreter accepts."""
+    if len(digits) <= 640:
+        return int(digits)
+    low = 640 << (((len(digits) - 1) // 640).bit_length() - 1)
+    return _digits_int(digits[:-low]) * 10 ** low + _digits_int(digits[-low:])
+
+
 def _parse_rat(text: str) -> Fraction:
     """Exact p or p/q, with no limit on the number of digits."""
-    parts = [int(Decimal(part)) for part in text.split("/")]
+    parts = [_digits_int(part) for part in text.split("/")]
     if parts[1:] == [0]:
         raise ValueError(f"zero denominator in {text!r}")
     return Fraction(*parts)

@@ -491,3 +491,13 @@ def exponent_schedule_reference(p: QuadElem, q: QuadElem, ring, n: int,
                 f"the witness powers p^f(i), q^f(i), i <= {j}, with f({j}) = {f[-1]}, "
                 f"would pass the {WITNESS_BIT_BUDGET}-bit budget of an exact witness")
     return f
+
+
+# -- the 30-digit deviation: the reference for DeltaWitness.max_deviation --
+
+def max_deviation_reference(wit) -> float:
+    """max_j |z_j - z_0| of a witness as it was computed in 30-digit mpmath:
+    each modulus the root of N(z_j - z_0), rounded to a float."""
+    with mpmath.workdps(30):
+        return max(float(mpmath.sqrt(mpmath.mpf(n.numerator) / mpmath.mpf(n.denominator)))
+                   for n in ((z - wit.points[0]).norm() for z in wit.points))

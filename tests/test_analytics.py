@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -24,6 +25,8 @@ from tracelab.analytics import POWER_BIT_BUDGET, WITNESS_BIT_BUDGET
 from tracelab.qfield import prime_power_factor
 
 from conftest import delta_c_reference, rn_reference, two_to_one_reference
+from test_acceptance import CLI_COMMANDS
+from test_golden import golden_path
 
 FI = FieldDesc(-1)
 
@@ -409,31 +412,57 @@ class TestKronecker:
         assert env[0][1] == oracle
 
 
-def test_import_leaves_mpmath_unloaded():
-    # only the witness uses mpmath, and loading it takes tens of ms of
-    # every start of the command
+def _fresh_python(code: str, *args: str) -> str:
+    """stdout of code run in a new interpreter that imports tracelab from
+    this checkout."""
     src = Path(tracelab.__file__).resolve().parents[1]
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, tracelab, tracelab.cli; print('mpmath' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
-        check=True, timeout=60)
-    assert out.stdout == "False\n"
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=120).stdout
+
+
+def test_import_leaves_mpmath_unloaded():
+    # tracelab has no runtime dependency; mpmath is only a test oracle
+    out = _fresh_python("import sys, tracelab, tracelab.cli; "
+                        "print('mpmath' in sys.modules)")
+    assert out == "False\n"
+
+
+# every criterion-8 command in every format, and two witness commands: the
+# benchmark's and an exact tie of the exponent schedule
+MPMATH_BLOCKED_COMMANDS = [
+    *([*argv, "--format", fmt] for argv in CLI_COMMANDS for fmt in ("json", "csv", "data")),
+    ["delta-c", "--c", "1/2+1/2*sqrt(-1)", "--ring", "-1", "--witness", "4"],
+    ["delta-c", "--c", "1/10+3/10*sqrt(-1)", "--ring", "-1", "--witness", "3", "--m1", "5"],
+]
 
 
 def test_witness_leaves_mpmath_unloaded():
-    # the schedule is decided from exact norms; of the witness, only
-    # max_deviation needs mpmath
-    src = Path(tracelab.__file__).resolve().parents[1]
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys\n"
-         "from tracelab import FieldDesc, delta_c_cluster_witness, parse_quadelem, "
-         "ring_of_integers\n"
-         "ring = ring_of_integers(FieldDesc(-1))\n"
-         "c = parse_quadelem('1/10+3/10*sqrt(-1)', ring.field)\n"
-         "wit = delta_c_cluster_witness(c, ring, 3, m1=5)\n"
-         "print(wit.f_values, 'mpmath' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
-        check=True, timeout=60)
-    assert out.stdout == "(0, 1, 3, 7) False\n"
+    # the schedule is decided from exact norms, and max_deviation rounds an
+    # exact integer square root
+    out = _fresh_python(
+        "import sys\n"
+        "from tracelab import FieldDesc, delta_c_cluster_witness, parse_quadelem, "
+        "ring_of_integers\n"
+        "ring = ring_of_integers(FieldDesc(-1))\n"
+        "c = parse_quadelem('1/10+3/10*sqrt(-1)', ring.field)\n"
+        "wit = delta_c_cluster_witness(c, ring, 3, m1=5)\n"
+        "print(wit.f_values, wit.max_deviation(), 'mpmath' in sys.modules)")
+    assert out == "(0, 1, 3, 7) 0.5 False\n"  # |z_j - z_0| = 1/2 exactly
+    # with mpmath made unimportable, each command exits 0 and prints its
+    # golden file, where it has one
+    out = _fresh_python(
+        "import contextlib, io, json, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from tracelab.cli import main\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        runs.append((main(argv), buf.getvalue()))\n"
+        "print(json.dumps(runs))", json.dumps(MPMATH_BLOCKED_COMMANDS))
+    for argv, (code, text) in zip(MPMATH_BLOCKED_COMMANDS, json.loads(out), strict=True):
+        assert code == 0, argv
+        if "--format" in argv:
+            golden = golden_path(argv[:-2], argv[-1])
+            assert text.encode("utf-8") == golden.read_bytes(), golden.name

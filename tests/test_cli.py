@@ -224,6 +224,14 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "zero denominator" in err
 
+    @pytest.mark.parametrize("group", ["psl2z", "bianchi(-1)", "hecke(5)"])
+    def test_negative_window_is_2(self, capsys, group):
+        code, out, err = run_cli(["corollary", "--group", group, "--radius", "3",
+                                  "--window", "-3"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "negative window" in err
+
     def test_decimal_window_is_exact(self, capsys):
         code, out, _ = run_cli(["corollary", "--group", "psl2z", "--radius", "2",
                                 "--window", "2.5"], capsys)
@@ -364,6 +372,27 @@ class TestValuesBeyondLimits:
         t0 = time.perf_counter()
         code, out, err = run_cli(["delta-c", "--c", "1/1000000000000000000000000000057",
                                   "--ring", "Z", "--witness", "1"], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "trial-division bound" in err
+
+    @pytest.mark.parametrize("source", ["c", "ring", "spec-file"])
+    def test_field_generator_past_factor_bound_is_3_at_once(self, capsys, tmp_path, source):
+        # 10^30 + 57 has no prime factor below FACTOR_BOUND, so no square
+        # below its bound divides it; trial division would go on toward its
+        # square root, about 10^15
+        d = "1000000000000000000000000000057"
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps({"name": "big", "field_d": int(d),
+                                    "generators": ["[1,1;0,1]", "[1,0;1,1]"]}))
+        argv = {"c": ["delta-c", "--c", f"sqrt({d})", "--ring", "Z",
+                      "--k-bound", "1", "--n-bound", "1"],
+                "ring": ["delta-c", "--c", "1/2", "--ring", d,
+                         "--k-bound", "1", "--n-bound", "1"],
+                "spec-file": ["enumerate", "--spec-file", str(spec), "--radius", "2"]}
+        t0 = time.perf_counter()
+        code, out, err = run_cli(argv[source], capsys)
         assert time.perf_counter() - t0 < 1.0
         assert code == 3 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1

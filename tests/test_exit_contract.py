@@ -33,14 +33,20 @@ MALFORMED_SPECS = {
     "bad-determinant": json.dumps({"name": "x", "generators": ["[1,1;1,1]"]}),
     "bad-field": json.dumps({"name": "x", "field_d": 4, "generators": ["[1,1;0,1]"]}),
     "wrong-field": json.dumps({"name": "x", "field_d": 5, "generators": ["[1,sqrt(2);0,1]"]}),
+    # no square below the trial-division bound divides 10^30 + 57
+    "big-field": json.dumps({"name": "x", "field_d": 10 ** 30 + 57,
+                             "generators": ["[1,1;0,1]"]}),
 }
 FORMATS = ("json", "csv", "data")
-# values an option may take, small enough to keep each command fast
+# values an option may take, small enough to keep each command fast; the
+# field generator 10^30 + 57 exits 3 at once as a --ring or inside a --c
+# literal, but would run long as a --radius or --K, so it is not in VALUES
 GOOD_VALUES = {
     "--radius": ("1", "2"), "--cap": ("0", "5", "100"), "--max-n": ("0", "1", "3"),
-    "--pair-budget": ("0", "100", "2000"), "--ring": ("Z", "-1", "-3", "2", "5"),
+    "--pair-budget": ("0", "100", "2000"),
+    "--ring": ("Z", "-1", "-3", "2", "5", str(10 ** 30 + 57)),
     "--c": ("3/2", "2", "1/2+1/2*sqrt(-1)", "1/3-4/3*sqrt(-1)", "-1/2+1/2*sqrt(5)",
-            "1" + "0" * 5000 + "/7"),
+            "1" + "0" * 5000 + "/7", f"sqrt({10 ** 30 + 57})"),
     "--k-bound": ("1", "3", "10"), "--n-bound": ("1", "3", "40"), "--m1": ("0", "1", "2"),
     "--witness": ("1", "2"), "--N": ("1", "2", "40"), "--K": ("1", "50"),
     "--theta1": ("1.4142135623730951", "0", "1e308", "5e-324"),

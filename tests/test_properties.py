@@ -22,17 +22,19 @@ from hypothesis import given, settings, strategies as st
 
 from tracelab import (QQ, BudgetExceededError, FieldDesc, GroupSpec, Mat2,
                       PreconditionError, ProjMat, QuadElem, RingOfIntegers,
-                      canonical_trace, cluster_counts, delta_c_set, enumerate_ball,
+                      canonical_trace, cluster_counts, delta_c_cluster_witness,
+                      delta_c_set, enumerate_ball,
                       format_mat2, format_quadelem, kronecker_gap_demo,
                       parse_mat2, parse_quadelem, ring_of_integers, trace_set)
 from tracelab.analytics import _exponent_schedule, lowest_terms
 from tracelab.cli import _beyond_float_range, _ring_from_flag
 from tracelab.groups import group_spec_from_dict
-from tracelab.qfield import divmod_ring, embedded_sign, m2_constant
+from tracelab.qfield import _sqrt_ratio_float, divmod_ring, embedded_sign, m2_constant
 
 from conftest import (FracQuad, cli_output, cluster_counts_reference, delta_c_reference,
                       delta_c_tables_reference, divmod_ring_reference,
                       exponent_schedule_reference, kronecker_reference, mat2_canonical,
+                      max_deviation_reference,
                       mat2_is_identity, mat2_least_traces, parse_mat2_reference,
                       parse_quadelem_reference)
 
@@ -541,3 +543,105 @@ def test_exponent_schedule_agrees_with_the_float_schedule(drawn):
         if refused:
             return
         f.append(new)
+
+
+def _rounds_to(f: float, x: Fraction) -> bool:
+    """f is sqrt(x) rounded to the nearest float, ties to even, for a positive
+    x whose root is a normal float: x lies between the squares of the
+    midpoints from f to its neighbours, and on one of them only if f is
+    even."""
+    mid_lo = (Fraction(math.nextafter(f, 0)) + Fraction(f)) / 2
+    mid_hi = (Fraction(f) + Fraction(math.nextafter(f, math.inf))) / 2
+    even = (Fraction(f) / Fraction(math.ulp(f))).numerator % 2 == 0
+    return mid_lo ** 2 < x < mid_hi ** 2 or even and x in (mid_lo ** 2, mid_hi ** 2)
+
+
+@st.composite
+def near_midpoint_squares(draw):
+    """(num, den) with num/den the square of the midpoint of two adjacent
+    floats, times 1, or 1 plus or minus 10^-e for e in 20..80."""
+    f = draw(st.floats(min_value=1e-150, max_value=1e150))
+    mid = (Fraction(f) + Fraction(math.nextafter(f, math.inf))) / 2
+    shift = draw(st.sampled_from((-1, 0, 1))) * Fraction(1, 10 ** draw(st.integers(20, 80)))
+    x = mid * mid * (1 + shift)
+    return x.numerator, x.denominator
+
+
+big_ints = st.integers(1, 10 ** 400)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.tuples(big_ints, big_ints)
+       | st.builds(lambda a, b: (a * a, b * b), st.integers(1, 10 ** 200),
+                   st.integers(1, 10 ** 200))
+       | near_midpoint_squares())
+def test_sqrt_ratio_float_is_correctly_rounded(drawn):
+    num, den = drawn
+    assert _rounds_to(_sqrt_ratio_float(num, den), Fraction(num, den))
+
+
+ABS_DS = (None, -1, -2, -3, -5, -7, -11, 2, 3, 5, 13)
+
+
+@st.composite
+def abs_inputs(draw):
+    """(x, r): x of Q, an imaginary field or Q(sqrt(d)) for d in 2, 3, 5, 13,
+    with r drawn at random, as the float |x| written exactly, or as |x|
+    itself where that is rational: r = |s| for x = s*y/conj(y) over an
+    imaginary field, and x = +-r elsewhere."""
+    d = draw(st.sampled_from(ABS_DS))
+    field = QQ if d is None else FieldDesc(d)
+    x = draw(elems(field, small_rationals))
+    how = draw(st.sampled_from(("random", "float", "exact")))
+    if how == "random":
+        return x, abs(draw(small_rationals))
+    if how == "float":
+        return x, Fraction(abs(x.embed()))
+    r = abs(draw(small_rationals))
+    if field.is_imaginary:
+        y = draw(elems(field, small_rationals).filter(lambda y: not y.is_zero()))
+        return r * draw(st.sampled_from((1, -1))) * y / y.conjugate(), r
+    return QuadElem.rational(draw(st.sampled_from((r, -r))), field), r
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(abs_inputs())
+def test_abs_sign_matches_high_precision_modulus(drawn):
+    # a nonzero |x| - r is above 1e-45 at these sizes, r = |x| as a float
+    # included, far above the 60-digit error
+    x, r = drawn
+    with mpmath.workdps(60):
+        a_mp, b_mp = (mpmath.mpf(v.numerator) / v.denominator for v in (x.a, x.b))
+        root = mpmath.sqrt(abs(x.field.d or 0))
+        modulus = (mpmath.sqrt(a_mp ** 2 + (b_mp * root) ** 2) if x.field.is_imaginary
+                   else abs(a_mp + b_mp * root))
+        diff = modulus - mpmath.mpf(r.numerator) / r.denominator
+        expected = 0 if abs(diff) < mpmath.mpf(10) ** -50 else _mp_sign(diff)
+    assert x.abs_sign(r) == expected
+
+
+@st.composite
+def witness_inputs(draw):
+    """(c, ring, n, m1): c non-integral with coordinates in [-15, 15] over a
+    denominator of 2 to 12, over Z and the five Euclidean imaginary rings,
+    n from 1 to 4 and m1 in 1, 2, 5."""
+    ring = _euclidean_ring(draw(st.sampled_from(EUCLIDEAN_DS)))
+    coord = st.integers(-15, 15)
+    c = QuadElem(ring, draw(st.integers(2, 12)), draw(coord),
+                 0 if ring.is_rational else draw(coord))
+    if ring.contains(c):
+        c = c + QuadElem(ring, 2, 1, 0)
+    return c, ring, draw(st.integers(1, 4)), draw(st.sampled_from((1, 2, 5)))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(witness_inputs())
+def test_max_deviation_agrees_with_the_30_digit_value(drawn):
+    # the two differ only where the 30-digit value lies within about 1e-30
+    # of a midpoint between floats and was rounded twice
+    c, ring, n, m1 = drawn
+    try:
+        wit = delta_c_cluster_witness(c, ring, n, m1)
+    except BudgetExceededError:
+        return
+    assert wit.max_deviation() == max_deviation_reference(wit)

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import math
 import pickle
+import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,8 +13,8 @@ from tracelab import (BudgetExceededError, FieldDesc, FieldMismatchError,
                       QuadElem, RingOfIntegers, UnsupportedRingError, bezout,
                       bezout_bounded, delta_c_set, format_quadelem, m1_constant,
                       m2_constant, parse_quadelem, ring_of_integers)
-from tracelab.qfield import (FACTOR_BOUND, divides, divmod_ring, gcd_ring, is_primary,
-                             prime_power_factor)
+from tracelab.qfield import (FACTOR_BOUND, _digits_int, _sqrt_ratio_float, divides,
+                             divmod_ring, gcd_ring, is_primary, prime_power_factor)
 
 from conftest import rand_elem
 
@@ -104,6 +106,64 @@ class TestIntegrality:
             field = rng.choice(fields)
             x = rand_elem(rng, field, den_max=12)
             assert x.is_algebraic_integer() == rings[field.d].contains(x)
+
+
+class TestFieldGenerator:
+    def test_squarefree_is_exact_below_the_square_of_the_bound(self):
+        prime = 2 ** 34 - 41  # the largest prime below FACTOR_BOUND^2
+        assert FieldDesc(prime).d == prime and FieldDesc(-prime).d == -prime
+        for d in (4, -12, 131071 ** 2, 2 * 131071 ** 2):
+            with pytest.raises(ValueError, match="squarefree"):
+                FieldDesc(d)
+
+    def test_past_the_bound_is_budget_exceeded_unless_a_square_is_found(self):
+        # 10^30 + 57 and 131101 * 131111 have no prime factor below
+        # FACTOR_BOUND; 4 * (10^30 + 57) has the square 4
+        big = 10 ** 30 + 57
+        for d in (big, -big, 131101 * 131111):
+            with pytest.raises(BudgetExceededError, match="trial-division bound"):
+                FieldDesc(d)
+        with pytest.raises(ValueError, match="squarefree"):
+            FieldDesc(4 * big)
+
+
+class TestAbsSign:
+    def test_examples(self):
+        assert q(3, 4, FI).abs_sign(5) == 0  # |3 + 4i| = 5
+        assert q(3, 4, FI).abs_sign(Fraction(49, 10)) == 1
+        assert q(-1, 1, F5).abs_sign(Fraction(5, 4)) == -1  # |-1 + sqrt(5)| = 1.236...
+        assert q(-1, -1, F5).abs_sign(Fraction(13, 4)) == -1  # |-1 - sqrt(5)| = 3.236...
+        assert q(-1, -1, F5).abs_sign(Fraction(16, 5)) == 1
+        assert q(Fraction(-7, 2)).abs_sign(Fraction(7, 2)) == 0
+        assert q(Fraction(-7, 2), 0, F5).abs_sign(Fraction(7, 2)) == 0
+        assert q(0).abs_sign(0) == 0 and q(0, 1, FI).abs_sign(0) == 1
+
+    def test_negative_bound_is_refused(self):
+        with pytest.raises(ValueError, match="r >= 0"):
+            q(1, 1, FI).abs_sign(-1)
+
+
+class TestSqrtRatioFloat:
+    def test_examples(self):
+        assert _sqrt_ratio_float(0, 7) == 0.0
+        assert _sqrt_ratio_float(1, 4) == 0.5 and _sqrt_ratio_float(9, 16) == 0.75
+        assert _sqrt_ratio_float(2, 1) == math.sqrt(2)
+        assert _sqrt_ratio_float(2 * 10 ** 40, 10 ** 40) == math.sqrt(2)
+        assert _sqrt_ratio_float(10 ** 600, 1) == 1e300
+
+    def test_beyond_float_range_is_inf(self):
+        assert _sqrt_ratio_float(10 ** 700, 1) == math.inf
+
+
+class TestDigitsInt:
+    @pytest.mark.parametrize("length", [1, 640, 641, 4300, 4301, 9000, 200_001])
+    def test_matches_decimal(self, length):
+        rng = random.Random(length)
+        digits = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789")
+                                                  for _ in range(length - 1))
+        assert _digits_int(digits) == int(Decimal(digits))
+        zeros = "0" * (length - 1) + "7"
+        assert _digits_int(zeros) == int(Decimal(zeros)) == 7
 
 
 class TestRingOfIntegers:

@@ -1,6 +1,7 @@
 """Checks on the source of src/tracelab itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,20 @@ def test_unit_cells_have_one_owner():
         assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                     and "floor" in [alias.name for alias in node.names]], path.name
     assert users == {("analytics.py", "_cells")}
+
+
+def test_runtime_imports_are_the_standard_library():
+    # tracelab has no runtime dependency: every absolute import names a
+    # module of the standard library
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

@@ -60,36 +60,38 @@ def cluster_counts(points: Iterable[Number]) -> ClusterGrid:
 
 # -- gap and growth ---------------------------------------------------------
 
+def _modulus(z: complex) -> float:
+    """|z|, or +inf when |z| is beyond float range though z is finite."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def gap(points: Sequence[Number]) -> float:
     """Minimum pairwise distance over distinct points; a point with an
-    infinite or NaN coordinate raises PreconditionError, as in _cells."""
-    pts = list(dict.fromkeys(complex(p) for p in points))
+    infinite or NaN coordinate raises PreconditionError, as in _cells. A
+    sweep by real part: rounding is monotone, so once the real-part
+    difference reaches the best distance, no later point is closer."""
+    pts = sorted(dict.fromkeys(map(complex, points)), key=attrgetter("real"))
     if len(pts) < 2:
         raise PreconditionError("gap requires at least 2 distinct points")
-    cells = _cells(pts, list)
-    if all(z.imag == 0 for z in pts):
-        xs = sorted(z.real for z in pts)
-        return min(b - a for a, b in zip(xs, xs[1:]))
-    # spatial hash; a pair closer than 1 lies in a 3x3 cell neighbourhood
-    best = float("inf")
-    grid: dict[tuple[int, int], list[complex]] = {}
-    for z, cell in zip(pts, cells):
-        grid.setdefault(cell, []).append(z)
-    for (cx, cy), bucket in grid.items():
-        neighbours = [w for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                      for w in grid.get((cx + dx, cy + dy), ())]
-        for z in bucket:
-            for w in neighbours:
-                if w != z:
-                    best = min(best, abs(z - w))
-    if best > 1.0:
-        # no close pair found locally; the minimum may connect far cells
-        best = min(abs(a - b) for i, a in enumerate(pts) for b in pts[i + 1:])
+    _cells(pts, list)
+    best = math.inf
+    for i, z in enumerate(pts):
+        x = z.real
+        for j in range(i + 1, len(pts)):
+            w = pts[j]
+            if w.real - x >= best:
+                break
+            d = _modulus(w - z)
+            if d < best:
+                best = d
     return best
 
 
 def growth_count(points: Sequence[Number], n: float) -> int:
-    return sum(1 for p in points if abs(complex(p)) <= n)
+    return sum(1 for p in points if _modulus(complex(p)) <= n)
 
 
 def growth_profile(points: Sequence[Number], n_values: Sequence[float]

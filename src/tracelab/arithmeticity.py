@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 from .errors import PreconditionError
 from .groups import DEFAULT_PAIR_BUDGET, Ball, TraceSet, gamma2_ball, trace_set
 from .psl2 import canonical_trace
-from .qfield import QQ, FieldDesc, QuadElem, format_quadelem
+from .qfield import QQ, FieldDesc, QuadElem, embed_elements, format_quadelem
 
 VERDICT_CONSISTENT = "consistent_with_derived_from_quaternion_algebra"
 VERDICT_WITNESS = "non_arithmetic_witness"
@@ -118,11 +118,11 @@ def conjugate_boundedness(traces: TraceSet) -> ConjugateGrowth:
         return ConjugateGrowth((), (), FLAG_NA_IMAGINARY)
     max_wl = max(traces.provenance.values(), default=0)
     shells = range(2, max_wl + 1, 2)
+    moduli = list(map(abs, embed_elements([t.conjugate() for t in traces.exact])))
     per_shell = []
     running = 0.0
     for s in shells:
-        vals = [abs(t.embed(conjugate=True)) for t in traces.exact
-                if traces.provenance[t] <= s]
+        vals = [m for m, t in zip(moduli, traces.exact) if traces.provenance[t] <= s]
         if vals:
             running = max(running, max(vals))
         per_shell.append(running)

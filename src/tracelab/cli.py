@@ -25,8 +25,8 @@ from .arithmeticity import subtraction_closure_check, takeuchi_verdict
 from .errors import BudgetExceededError, PreconditionError
 from .groups import (DEFAULT_CAP, DEFAULT_PAIR_BUDGET, Ball, GroupSpec, catalog,
                      enumerate_ball, load_group_spec, trace_set)
-from .qfield import (QQ, FieldDesc, QuadElem, RingOfIntegers, format_quadelem,
-                     parse_quadelem, ring_of_integers)
+from .qfield import (QQ, FieldDesc, QuadElem, RingOfIntegers, embed_elements,
+                     format_quadelem, parse_quadelem, ring_of_integers)
 
 BUDGET_ENV = "TRACELAB_BUDGET"
 
@@ -134,28 +134,22 @@ def _emit(report: Report, args) -> None:
         sys.stdout.write(text)
 
 
-def _delta_c_rows(dset, sep: str, texts: Sequence[str] = ()) -> str:
-    """The rows of a DeltaCSet table, one line per value: its text from
-    `texts` (when given), then the real and imaginary parts of its embedding
-    as _dec writes them (the imaginary part of a real embedding is 0), all
-    separated by `sep`. One %-format over the whole table writes them."""
+def _value_rows(embedded: Sequence, sep: str, texts: Sequence = (), tail: Sequence = ()) -> str:
+    """A table of embedded values, one line per value: its entry of `texts`
+    (when given), its real and imaginary parts as _dec writes them (0 for
+    a float), then its entry of `tail` (when given), separated by `sep`.
+    One %-format over the whole table writes them."""
     row, columns = ("%s" + sep, [texts]) if texts else ("", [])
-    if dset.ring.field.is_imaginary:
-        row += f"%.17g{sep}%.17g\n"
-        columns += [map(attrgetter("real"), dset.embedded),
-                    map(attrgetter("imag"), dset.embedded)]
+    if complex in set(map(type, embedded)):
+        row += f"%.17g{sep}%.17g"
+        columns += [map(attrgetter("real"), embedded), map(attrgetter("imag"), embedded)]
     else:
-        row += f"%.17g{sep}0\n"
-        columns.append(dset.embedded)
-    return (row * len(dset)) % tuple(itertools.chain.from_iterable(zip(*columns)))
-
-
-def _embedded_rows(values) -> list[list]:
-    rows = []
-    for v in values:
-        z = complex(v.embed())
-        rows.append([format_quadelem(v), _dec(z.real), _dec(z.imag)])
-    return rows
+        row += f"%.17g{sep}0"
+        columns.append(embedded)
+    if tail:
+        row += sep + "%s"
+        columns.append(tail)
+    return ((row + "\n") * len(embedded)) % tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -179,19 +173,21 @@ def cmd_enumerate(args) -> Report:
 def cmd_traces(args) -> Report:
     spec, ball = _group_ball(args)
     ts = trace_set(ball, reduced=not args.all)
-    rows = [row + [ts.provenance[t]] for t, row in zip(ts.exact, _embedded_rows(ts.exact))]
+    texts = list(map(format_quadelem, ts.exact))
+    lengths = list(map(ts.provenance.__getitem__, ts.exact))
     payload = {
         "command": "traces",
         "group": spec.name,
         "radius": ball.radius,
         "reduced": ts.reduced,
         "size": ts.size,
-        "traces": [{"value": r[0], "re": float(r[1]), "im": float(r[2]),
-                    "word_length": r[3]}
-                   for r in rows],
+        "traces": [{"value": v, "re": z.real, "im": z.imag, "word_length": wl}
+                   for v, z, wl in zip(texts, ts.embedded, lengths)],
     }
-    return Report(payload, lambda: _csv([["trace", "re", "im", "word_length"], *rows]),
-                  lambda: _data(r[1:3] for r in rows))
+    return Report(payload,
+                  lambda: "trace,re,im,word_length\n" + _value_rows(
+                      ts.embedded, ",", texts, lengths),
+                  lambda: _value_rows(ts.embedded, " "))
 
 
 def cmd_cluster(args) -> Report:
@@ -284,7 +280,8 @@ def cmd_delta_c(args) -> Report:
     c = parse_quadelem(args.c, ring.field)
     if args.witness is not None:
         wit = delta_c_cluster_witness(c, ring, args.witness, m1=args.m1)
-        rows = _embedded_rows(wit.points)
+        texts = list(map(format_quadelem, wit.points))
+        embedded = embed_elements(wit.points)
         payload = {
             "command": "delta-c-witness",
             "c": format_quadelem(c),
@@ -294,11 +291,12 @@ def cmd_delta_c(args) -> Report:
             "exponents": list(wit.exponents),
             "p": format_quadelem(wit.p),
             "q": format_quadelem(wit.q),
-            "points": [r[0] for r in rows],
+            "points": texts,
             "max_deviation": wit.max_deviation(),
         }
-        return Report(payload, lambda: _csv([["point", "re", "im"], *rows]),
-                      lambda: _data(r[1:] for r in rows))
+        return Report(payload,
+                      lambda: "point,re,im\n" + _value_rows(embedded, ",", texts),
+                      lambda: _value_rows(embedded, " "))
     if _beyond_float_range(c, args.k_bound, args.n_bound, args.m1):
         raise PreconditionError(CELLS_NEED_FINITE_POINTS)
     dset = delta_c_set(c, ring, args.k_bound, args.n_bound, m1=args.m1)
@@ -314,9 +312,9 @@ def cmd_delta_c(args) -> Report:
         "cells_touched": grid.cells_touched,
     }
     return Report(payload,
-                  lambda: "value,re,im\n" + _delta_c_rows(
-                      dset, ",", dset.ring.format_values(dset.coords)),
-                  lambda: _delta_c_rows(dset, " "))
+                  lambda: "value,re,im\n" + _value_rows(
+                      dset.embedded, ",", dset.ring.format_values(dset.coords)),
+                  lambda: _value_rows(dset.embedded, " "))
 
 
 def cmd_counting(args) -> Report:

@@ -13,7 +13,8 @@ from operator import itemgetter
 
 from .errors import BudgetExceededError, PreconditionError
 from .psl2 import ProjMat, format_mat2, parse_mat2
-from .qfield import EUCLIDEAN_IMAGINARY_D, QQ, FieldDesc, QuadElem, ring_of_integers
+from .qfield import (EUCLIDEAN_IMAGINARY_D, QQ, FieldDesc, QuadElem, embed_elements,
+                     ring_of_integers)
 
 DEFAULT_CAP = 5_000_000
 DEFAULT_PAIR_BUDGET = 90_000  # of gamma2_ball
@@ -158,7 +159,7 @@ def trace_set(ball: Ball, reduced: bool = True) -> TraceSet:
             least[key] = (wl, g)
     prov = {g.trace(): wl for wl, g in least.values()}
     exact = _sorted_traces(prov)
-    return TraceSet(tuple(exact), tuple(t.embed() for t in exact),
+    return TraceSet(tuple(exact), tuple(embed_elements(exact)),
                     {t: prov[t] for t in exact}, reduced, ball.radius)
 
 
@@ -223,28 +224,27 @@ def catalog(name: str) -> GroupSpec:
     key = name.replace(" ", "").lower()
     if key == "psl2z" or key == "gamma0(1)":
         return GroupSpec("psl2z", _psl2z_gens(), QQ, ARITHMETIC)
-    if key.startswith("gamma0(") and key.endswith(")"):
-        n = int(key[7:-1])
-        if n in _GAMMA0_TABLES:
-            gens = tuple(ProjMat.make(*row) for row in _GAMMA0_TABLES[n])
-            return GroupSpec(f"gamma0({n})", gens, QQ, ARITHMETIC)
-    if key.startswith("hecke(") and key.endswith(")"):
-        q = int(key[6:-1])
-        if q in _HECKE_LAMBDA:
-            d, lam = _HECKE_LAMBDA[q]
-            fld = FieldDesc(d)
-            gens = (ProjMat.make(0, -1, 1, 0, field=fld),
-                    ProjMat.make(1, lam, 0, 1, field=fld))
-            cls = NON_ARITHMETIC if q == 5 else ARITHMETIC
-            return GroupSpec(f"hecke({q})", gens, fld, cls)
-    if key.startswith("bianchi(") and key.endswith(")"):
-        d = int(key[8:-1])
-        if d in EUCLIDEAN_IMAGINARY_D:
-            fld = FieldDesc(d)
-            gens = (ProjMat.make(1, 1, 0, 1, field=fld),
-                    ProjMat.make(1, ring_of_integers(fld).omega, 0, 1, field=fld),
-                    ProjMat.make(0, -1, 1, 0, field=fld))
-            return GroupSpec(f"bianchi({d})", gens, fld, ARITHMETIC)
+    family, _, index = key.partition("(")
+    try:
+        n = int(index[:-1]) if index.endswith(")") else None
+    except ValueError:  # no int literal between the parentheses
+        n = None
+    if family == "gamma0" and n in _GAMMA0_TABLES:
+        gens = tuple(ProjMat.make(*row) for row in _GAMMA0_TABLES[n])
+        return GroupSpec(f"gamma0({n})", gens, QQ, ARITHMETIC)
+    if family == "hecke" and n in _HECKE_LAMBDA:
+        d, lam = _HECKE_LAMBDA[n]
+        fld = FieldDesc(d)
+        gens = (ProjMat.make(0, -1, 1, 0, field=fld),
+                ProjMat.make(1, lam, 0, 1, field=fld))
+        cls = NON_ARITHMETIC if n == 5 else ARITHMETIC
+        return GroupSpec(f"hecke({n})", gens, fld, cls)
+    if family == "bianchi" and n in EUCLIDEAN_IMAGINARY_D:
+        fld = FieldDesc(n)
+        gens = (ProjMat.make(1, 1, 0, 1, field=fld),
+                ProjMat.make(1, ring_of_integers(fld).omega, 0, 1, field=fld),
+                ProjMat.make(0, -1, 1, 0, field=fld))
+        return GroupSpec(f"bianchi({n})", gens, fld, ARITHMETIC)
     raise KeyError(f"unknown catalog group {name!r}; known: {', '.join(catalog_names())}")
 
 

@@ -22,7 +22,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul, truediv
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import (BudgetExceededError, FieldMismatchError, PreconditionError,
                      UnsupportedRingError)
@@ -52,9 +52,11 @@ def _sqrt_ratio_float(num: int, den: int) -> float:
     return _ratio_float(root | (root * root * den != scaled), 1 << k)
 
 
+@functools.cache
 def _is_squarefree(n: int) -> bool:
     """Exact for |n| < FACTOR_BOUND^2. Past that, False when the square of
-    some k < FACTOR_BOUND divides n, else BudgetExceededError."""
+    some k < FACTOR_BOUND divides n, else BudgetExceededError. A decision
+    is kept per n, so that each field generator is trial-divided once."""
     n = abs(n)
     if n == 0:
         return False
@@ -302,10 +304,21 @@ class QuadElem:
         """Double-precision value; complex for d < 0, float otherwise.
         Values beyond float range overflow to +-inf."""
         x = self.conjugate() if conjugate else self
-        return x.ring.embed_coords(x.x0, x.x1, x.den)
+        return x.ring.embed_values([x.x0], [x.x1], [x.den])[0]
 
     def __repr__(self):
         return f"QuadElem({format_quadelem(self)!r}, field={self.field!r})"
+
+
+def embed_elements(xs: Sequence[QuadElem]) -> list:
+    """[x.embed() for x in xs], each ring's values embedded a list at a time."""
+    out = list(xs)
+    for ring in {x.ring for x in xs}:
+        at = [i for i, x in enumerate(xs) if x.ring is ring]
+        coords = zip(*((xs[i].x0, xs[i].x1, xs[i].den) for i in at))
+        for i, z in zip(at, ring.embed_values(*coords)):
+            out[i] = z
+    return out
 
 
 # -- text format ----------------------------------------------------------
@@ -480,29 +493,25 @@ class RingOfIntegers:
         g, h = math.gcd(an, den2), math.gcd(bn, den2)
         return an // g, den2 // g, bn // h, den2 // h
 
-    def embed_coords(self, x0: int, x1: int, den: int):
-        """Double-precision value of (x0 + x1*omega)/den (den > 0): complex
+    def embed_values(self, x0s: Sequence[int], x1s: Sequence[int], dens: Sequence[int]) -> list:
+        """Double-precision value of each (x0 + x1*omega)/den (den > 0) given
+        by the three equal-length lists, computed a list at a time: complex
         for d < 0, float otherwise. Values beyond float range overflow to
         +-inf."""
-        (an, bn), den2, d = self.doubled(x0, x1), 2 * den, self.field.d
-        re, im = _ratio_float(an, den2), _ratio_float(bn, den2)
-        if d is None:
-            return re
-        return re + im * math.sqrt(d) if d > 0 else complex(re, im * math.sqrt(-d))
-
-    def embed_values(self, x0s: list[int], x1s: list[int], dens: list[int]) -> list:
-        """embed_coords of each value (x0 + x1*omega)/den given by the three
-        equal-length lists, computed a list at a time."""
         d = self.field.d
+        if d is None:  # x0/den is correctly rounded, as (2*x0)/(2*den) is
+            nums = [x0s]
+        else:  # the parts (2*x0 + t*x1)/(2*den) and s*x1/(2*den) of 1 and sqrt(d)
+            nums = [list(map(add, map(mul, x0s, repeat(2)), map(mul, x1s, repeat(self.t)))),
+                    list(map(mul, x1s, repeat(self.s)))]
+            dens = list(map(mul, dens, repeat(2)))
         try:
-            if d is None:  # x0/den is correctly rounded, as (2*x0)/(2*den) is
-                return list(map(truediv, x0s, dens))
-            den2 = list(map(mul, dens, repeat(2)))
-            re = list(map(truediv, map(add, map(mul, x0s, repeat(2)),
-                                       map(mul, x1s, repeat(self.t))), den2))
-            im = list(map(truediv, map(mul, x1s, repeat(self.s)), den2))
+            parts = [list(map(truediv, num, dens)) for num in nums]
         except OverflowError:  # a quotient beyond float range, which is +-inf
-            return list(map(self.embed_coords, x0s, x1s, dens))
+            parts = [list(map(_ratio_float, num, dens)) for num in nums]
+        if d is None:
+            return parts[0]
+        re, im = parts
         if d > 0:
             return list(map(add, re, map(mul, im, repeat(math.sqrt(d)))))
         return list(map(complex, re, map(mul, im, repeat(math.sqrt(-d)))))

@@ -16,7 +16,7 @@ import pytest
 from tracelab import (Ball, BudgetExceededError, FieldDesc, FieldMismatchError, Mat2,
                       PreconditionError, QQ, QuadElem, RingOfIntegers, canonical_trace,
                       m2_constant)
-from tracelab.analytics import WITNESS_BIT_BUDGET
+from tracelab.analytics import WITNESS_BIT_BUDGET, _cells
 from tracelab.qfield import _TERM_RE, _common_field, _nearest_int, _parse_rat
 from tracelab.cli import main
 
@@ -303,6 +303,36 @@ def cluster_counts_reference(points) -> tuple[dict, int, int]:
             raise PreconditionError("cluster_counts requires finite points") from None
         counts[cell] = counts.get(cell, 0) + 1
     return counts, max(counts.values(), default=0), len(counts)
+
+
+# -- the spatial hash and the full scan: the reference for gap -------------
+
+def gap_reference(points) -> float:
+    """analytics.gap as it paired points within a 3x3 block of unit cells,
+    with a scan of every pair when no pair was closer than 1, and the
+    difference of neighbours over real points. |z - w| beyond float range
+    raises OverflowError."""
+    pts = list(dict.fromkeys(complex(p) for p in points))
+    if len(pts) < 2:
+        raise PreconditionError("gap requires at least 2 distinct points")
+    cells = _cells(pts, list)
+    if all(z.imag == 0 for z in pts):
+        xs = sorted(z.real for z in pts)
+        return min(b - a for a, b in zip(xs, xs[1:]))
+    best = float("inf")
+    grid: dict = {}
+    for z, cell in zip(pts, cells):
+        grid.setdefault(cell, []).append(z)
+    for (cx, cy), bucket in grid.items():
+        neighbours = [w for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                      for w in grid.get((cx + dx, cy + dy), ())]
+        for z in bucket:
+            for w in neighbours:
+                if w != z:
+                    best = min(best, abs(z - w))
+    if best > 1.0:
+        best = min(abs(a - b) for i, a in enumerate(pts) for b in pts[i + 1:])
+    return best
 
 
 # -- the exhaustive loops: the reference for kronecker_gap_demo, rn_set and

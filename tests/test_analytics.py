@@ -89,6 +89,15 @@ class TestGapGrowth:
     def test_far_apart_points(self):
         assert gap([0.0, 10.0 + 3j, 20.0]) == abs(10 + 3j - 20)
 
+    def test_moduli_beyond_float_range_are_inf(self):
+        # |z| of a finite z may pass the float maximum: abs() raises there,
+        # and gap and growth_count read it as +inf
+        far = complex(1.3e308, 1.3e308)
+        assert gap([2, far]) == math.inf
+        assert gap([2, 1.3e308, complex(2, 1.3e308), complex(2, -1.3e308)]) == 1.3e308
+        assert growth_count([2, far], 1e308) == 1
+        assert growth_count([2, far], math.inf) == 2
+
     def test_growth_count_and_slope(self):
         pts = list(range(-10, 11))
         assert growth_count(pts, 5) == 11

@@ -127,6 +127,19 @@ class TestExitCodes:
         assert code == 2
         assert "unknown catalog group" in err
 
+    @pytest.mark.parametrize("name", ["hecke(x)", "gamma0()", "bianchi(1.5)", "hecke(5))"])
+    def test_catalog_index_that_is_not_an_int_is_an_unknown_group(self, name, capsys):
+        code, out, err = run_cli(["enumerate", "--group", name, "--radius", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: unknown catalog group {name!r}; known: psl2z, ")
+
+    @pytest.mark.parametrize("name, canonical", [
+        ("Hecke( 5 )", "hecke(5)"), ("GAMMA0(2)", "gamma0(2)"), ("gamma0(1)", "psl2z"),
+        ("bianchi(-3)", "bianchi(-3)"), ("PSL2Z", "psl2z")])
+    def test_catalog_spellings(self, name, canonical, capsys):
+        code, out, _ = run_cli(["enumerate", "--group", name, "--radius", "1"], capsys)
+        assert code == 0 and json.loads(out)["group"] == canonical
+
     def test_budget_cap_is_3(self, capsys):
         code, _, err = run_cli(["enumerate", "--group", "psl2z", "--radius", "6",
                                 "--cap", "5"], capsys)

@@ -1,9 +1,9 @@
 """The exit contract of the command line, on every input: the exit code is
 0, 2, 3 or 4; a nonzero exit prints nothing on stdout and one `error:` line
 on stderr; JSON output parses strictly (no NaN or Infinity). Checked on
-spec files whose traces embed beyond float range, with every group command
-in every format, and by a fuzz test over the parser's own subcommands and
-options."""
+spec files whose traces embed beyond float range, or lie beyond float
+range of each other, with every group command in every format, and by a
+fuzz test over the parser's own subcommands and options."""
 
 import argparse
 import contextlib
@@ -27,6 +27,18 @@ OVERFLOWING_SPECS = {  # spec files of groups whose traces reach N^2
     "field--1": {"name": "big", "field_d": -1,
                  "generators": [f"[1,{N};0,1]", f"[1,0;{N}*sqrt(-1),1]"]},
 }
+# traces with finite coordinates whose distances pass the float maximum:
+# 2 and 1.3e308*(1 + i) (only +inf apart), and 2, 1.3e308 and 2 +- 1.3e308*i
+# (1.3e308 apart at least, though 2 + 1.3e308*i and 1.3e308 are +inf apart)
+FAR_N, FAR_M = "1" + "0" * 154, "13" + "0" * 153
+FAR_SPECS = {
+    "far-diagonal": {"name": "far", "field_d": -1,
+                     "generators": [f"[1,{FAR_N};0,1]", f"[1,0;{FAR_M}+{FAR_M}*sqrt(-1),1]"]},
+    "far-axes": {"name": "far", "field_d": -1,
+                 "generators": [f"[1,{FAR_N};0,1]", f"[1,0;{FAR_M},1]",
+                                f"[1,0;{FAR_M}*sqrt(-1),1]"]},
+}
+FAR_GAPS = {"far-diagonal": (None, "inf"), "far-axes": (1.3e308, "1.3000000000000001e+308")}
 MALFORMED_SPECS = {
     "not-json": "{", "not-object": "[1]",
     "bad-literal": json.dumps({"name": "x", "generators": ["[1,2;0]"]}),
@@ -89,6 +101,7 @@ def spec_files(tmp_path_factory) -> dict[str, str]:
     folder = tmp_path_factory.mktemp("specs")
     paths = {}
     for name, text in [*((k, json.dumps(v)) for k, v in OVERFLOWING_SPECS.items()),
+                       *((k, json.dumps(v)) for k, v in FAR_SPECS.items()),
                        *MALFORMED_SPECS.items()]:
         paths[name] = str(folder / f"{name}.json")
         with open(paths[name], "w", encoding="utf-8") as fh:
@@ -109,6 +122,31 @@ def test_traces_beyond_float_range(spec_files, command, spec):
                                      "--radius", "2", "--format", fmt])
         # unit cells need finite points; every other command prints them
         assert code == (4 if command in ("cluster", "gap") else 0)
+
+
+@pytest.mark.parametrize("spec", sorted(FAR_SPECS))
+@pytest.mark.parametrize("command", GROUP_COMMANDS)
+def test_distances_beyond_float_range(spec_files, command, spec):
+    # every coordinate is finite, so every command prints its result
+    for fmt in FORMATS:
+        assert assert_exit_contract([command, "--spec-file", spec_files[spec],
+                                     "--radius", "2", "--format", fmt]) == 0
+
+
+@pytest.mark.parametrize("spec", sorted(FAR_SPECS))
+def test_gap_beyond_float_range(spec_files, spec):
+    # the least distance reads +inf (JSON null) when it passes float range
+    json_gap, text_gap = FAR_GAPS[spec]
+    outputs = {}
+    for fmt in FORMATS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["gap", "--spec-file", spec_files[spec], "--radius", "2",
+                         "--format", fmt]) == 0
+        outputs[fmt] = out.getvalue()
+    assert strict_json(outputs["json"])["gap"] == json_gap
+    assert outputs["csv"] == f"radius,gap\n2,{text_gap}\n"
+    assert outputs["data"] == f"2 {text_gap}\n"
 
 
 def test_empty_spec_file_path_is_2():

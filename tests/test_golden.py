@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from tracelab import RingOfIntegers, catalog_names, cli
+from tracelab import QuadElem, RingOfIntegers, catalog_names, cli
 from tracelab.cli import main
 
 from test_acceptance import CLI_COMMANDS
@@ -81,7 +81,7 @@ DELTA_C_SET_CASES = [argv for argv in CLI_COMMANDS + DELTA_C_SET_COMMANDS
 
 
 @pytest.mark.parametrize("fmt, unused", [
-    ("json", ("format_values", "_delta_c_rows")), ("data", ("format_values",))])
+    ("json", ("format_values", "_value_rows")), ("data", ("format_values",))])
 @pytest.mark.parametrize("argv", DELTA_C_SET_CASES,
                          ids=[golden_path(a, "").stem for a in DELTA_C_SET_CASES])
 def test_delta_c_builds_only_the_table_it_prints(argv, fmt, unused, monkeypatch,
@@ -92,6 +92,38 @@ def test_delta_c_builds_only_the_table_it_prints(argv, fmt, unused, monkeypatch,
     for name in unused:
         monkeypatch.setattr(RingOfIntegers if name == "format_values" else cli,
                             name, refuse)
+    out = tmp_path / "out"
+    assert main(argv + ["--format", fmt, "--output", str(out)]) == 0
+    assert out.read_bytes() == golden_path(argv, fmt).read_bytes()
+
+
+JSON_VALUE_CASES = [argv for argv in CLI_COMMANDS
+                    if argv[0] == "traces" or "--witness" in argv]
+
+
+@pytest.mark.parametrize("argv", JSON_VALUE_CASES,
+                         ids=[golden_path(a, "").stem for a in JSON_VALUE_CASES])
+def test_value_json_builds_no_rows(argv, monkeypatch, tmp_path):
+    # `traces` and the witness print their values in JSON without the table
+    def refuse(*args):
+        raise AssertionError(f"{argv[0]} --format json built rows it does not print")
+    monkeypatch.setattr(cli, "_value_rows", refuse)
+    out = tmp_path / "out"
+    assert main(argv + ["--format", "json", "--output", str(out)]) == 0
+    assert out.read_bytes() == golden_path(argv, "json").read_bytes()
+
+
+TRACES_CASES = [(argv, fmt) for argv, fmt in CASES if argv[0] == "traces"]
+
+
+@pytest.mark.parametrize("argv,fmt", TRACES_CASES,
+                         ids=[golden_path(a, f).name for a, f in TRACES_CASES])
+def test_traces_embed_a_list_at_a_time(argv, fmt, monkeypatch, tmp_path):
+    # trace_set embeds its traces in one call per ring, and `traces` renders
+    # from TraceSet.embedded: no value is embedded on its own
+    def refuse(*args, **kwargs):
+        raise AssertionError("traces embedded a single value")
+    monkeypatch.setattr(QuadElem, "embed", refuse)
     out = tmp_path / "out"
     assert main(argv + ["--format", fmt, "--output", str(out)]) == 0
     assert out.read_bytes() == golden_path(argv, fmt).read_bytes()

@@ -144,6 +144,26 @@ class TestTraceSet:
         embedded = [complex(z) for z in ts.embedded]
         assert embedded == sorted(embedded, key=lambda z: (z.real, z.imag))
 
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_embedded_is_each_trace_embedded(self, name):
+        for reduced in (True, False):
+            ts = trace_set(enumerate_ball(catalog(name), 5), reduced)
+            expected = tuple(t.embed() for t in ts.exact)
+            assert ts.embedded == expected
+            assert list(map(type, ts.embedded)) == list(map(type, expected))
+
+    def test_embedded_of_a_ball_over_several_fields(self):
+        # a ball built by hand may mix Q with a quadratic field: each trace
+        # keeps its own embedding, a float over Q and a complex over Q(i)
+        mats = [ProjMat.make(2, 1, 1, 1), ProjMat.make(5, 2, 2, 1),
+                ProjMat.make(1, q(0, 1, FI), q(0, 1, FI), 0, field=FI),
+                ProjMat.make(3, 1, 2, 1, field=FI), ProjMat.make(1 + q(0, 1, FI), 1, -1, 0, field=FI)]
+        ts = trace_set(Ball(1, dict.fromkeys(mats, 1)))
+        assert {t.field for t in ts.exact} == {QQ, FI}
+        expected = tuple(t.embed() for t in ts.exact)
+        assert ts.embedded == expected
+        assert list(map(type, ts.embedded)) == list(map(type, expected))
+
     def test_restrict(self):
         ball = enumerate_ball(catalog("psl2z"), 6)
         ts = trace_set(ball)

@@ -6,7 +6,8 @@ generators, the shared embedded-sign rule against a high-precision
 evaluation, QuadElem against the Fraction reference path, delta_c_set
 against the QuadElem reference path, the `delta-c` csv and data tables
 against the row-by-row writer, cluster_counts against the point-by-point
-loop, the early float-range exit of `delta-c` against the exact path,
+loop, gap against the spatial hash and full scan it replaced, the early
+float-range exit of `delta-c` against the exact path,
 the bisected Kronecker envelope against the exhaustive loop, the
 literal parsers against the depth-counting splitters, the two-row division
 step against the 16-candidate search, and the exact exponent schedule of
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from tracelab import (QQ, BudgetExceededError, FieldDesc, GroupSpec, Mat2,
                       PreconditionError, ProjMat, QuadElem, RingOfIntegers,
                       canonical_trace, cluster_counts, delta_c_cluster_witness,
-                      delta_c_set, enumerate_ball,
+                      delta_c_set, enumerate_ball, gap,
                       format_mat2, format_quadelem, kronecker_gap_demo,
                       parse_mat2, parse_quadelem, ring_of_integers, trace_set)
 from tracelab.analytics import _exponent_schedule, lowest_terms
@@ -33,7 +34,8 @@ from tracelab.qfield import _sqrt_ratio_float, divmod_ring, embedded_sign, m2_co
 
 from conftest import (FracQuad, cli_output, cluster_counts_reference, delta_c_reference,
                       delta_c_tables_reference, divmod_ring_reference,
-                      exponent_schedule_reference, kronecker_reference, mat2_canonical,
+                      exponent_schedule_reference, gap_reference, kronecker_reference,
+                      mat2_canonical,
                       max_deviation_reference,
                       mat2_is_identity, mat2_least_traces, parse_mat2_reference,
                       parse_quadelem_reference)
@@ -353,6 +355,33 @@ def test_cluster_counts_matches_the_point_by_point_loop(points):
     grid = cluster_counts(iter(points))
     assert (grid.counts, grid.max_count, grid.cells_touched) == (counts, max_count, cells)
     assert list(grid.counts) == list(counts)  # the same cell order
+
+
+# signed zeros, subnormals, magnitudes up to the float maximum, lattice
+# points and real-only sets, each set with some of its points repeated
+gap_coords = (st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               1e308, -1e308, 1.7976931348623157e308))
+              | finite_floats | st.floats(-4, 4) | st.integers(-5, 5).map(float))
+gap_points = (st.lists(gap_coords, min_size=2, max_size=40)
+              | st.lists(st.builds(complex, gap_coords, gap_coords)
+                         | st.builds(complex, st.integers(-5, 5), st.integers(-5, 5))
+                         | gap_coords, min_size=2, max_size=40)
+              ).flatmap(lambda ps: st.lists(st.sampled_from(ps), max_size=4)
+                        .map(lambda repeats: ps + repeats))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(gap_points)
+def test_gap_matches_the_spatial_hash(points):
+    try:
+        expected = gap_reference(points)
+    except OverflowError:  # a distance beyond float range; test_analytics pins those
+        return
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+            gap(points)
+        return
+    assert gap(points) == expected
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0, math.inf),

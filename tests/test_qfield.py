@@ -13,8 +13,9 @@ from tracelab import (BudgetExceededError, FieldDesc, FieldMismatchError,
                       QuadElem, RingOfIntegers, UnsupportedRingError, bezout,
                       bezout_bounded, delta_c_set, format_quadelem, m1_constant,
                       m2_constant, parse_quadelem, ring_of_integers)
-from tracelab.qfield import (FACTOR_BOUND, _digits_int, _sqrt_ratio_float, divides,
-                             divmod_ring, gcd_ring, is_primary, prime_power_factor)
+from tracelab.groups import group_spec_from_dict
+from tracelab.qfield import (FACTOR_BOUND, _digits_int, _is_squarefree, _sqrt_ratio_float,
+                             divides, divmod_ring, gcd_ring, is_primary, prime_power_factor)
 
 from conftest import rand_elem
 
@@ -125,6 +126,15 @@ class TestFieldGenerator:
                 FieldDesc(d)
         with pytest.raises(ValueError, match="squarefree"):
             FieldDesc(4 * big)
+
+    def test_squarefree_check_runs_once_per_generator(self):
+        # field_d and each radical literal build FieldDesc(d); the trial
+        # division up to FACTOR_BOUND runs for the first of them only
+        d = 17179869143  # squarefree, just below FACTOR_BOUND^2
+        _is_squarefree.cache_clear()
+        group_spec_from_dict({"name": "x", "field_d": d, "generators": [
+            f"[1,sqrt({d});0,1]", f"[1,0;2*sqrt({d}),1]", f"[1,1+sqrt({d});0,1]"]})
+        assert _is_squarefree.cache_info().misses == 1
 
 
 class TestAbsSign:

@@ -32,12 +32,14 @@ def test_ring_rule_has_one_owner(rule):
     assert len(lines) == 1, f"{rule!r} written on {lines}"
 
 
-@pytest.mark.parametrize("text", ["90_000", "finite points", "2 + dd"],
-                         ids=["default-pair-budget", "finite-points-message", "m2-squared"])
+@pytest.mark.parametrize("text", ["90_000", "finite points", "2 + dd", "math.sqrt(-d)"],
+                         ids=["default-pair-budget", "finite-points-message", "m2-squared",
+                              "float-rule"])
 def test_written_once(text):
-    # the default pair budget, the precondition of unit cells and the exact
-    # M2^2 = (2 + d^2) + 2*sqrt(1 + d^2) of qfield.m_power_sign each have
-    # one owner, which the other modules import
+    # the default pair budget, the precondition of unit cells, the exact
+    # M2^2 = (2 + d^2) + 2*sqrt(1 + d^2) of qfield.m_power_sign and the float
+    # rule of RingOfIntegers.embed_values each have one owner, which the
+    # other modules import
     lines = _lines_with(text)
     assert len(lines) == 1, f"{text!r} written on {lines}"
 

@@ -109,18 +109,18 @@ Table = Callable[[], str]
 
 
 class Report:
-    """One deterministic result: a JSON object, and the CSV and data tables
-    as zero-argument builders of their text, so that a format builds only
+    """One deterministic result: zero-argument builders of its JSON object
+    and of the text of its CSV and data tables, so that a format builds only
     what it prints."""
 
-    def __init__(self, payload: dict, csv_table: Table, data_table: Table):
+    def __init__(self, payload: Callable[[], dict], csv_table: Table, data_table: Table):
         self.payload = payload
         self.csv_table = csv_table
         self.data_table = data_table
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
-            obj = _json_values({"version": __version__, **self.payload})
+            obj = _json_values({"version": __version__, **self.payload()})
             return json.dumps(obj, indent=2, sort_keys=True) + "\n"
         return self.csv_table() if fmt == "csv" else self.data_table()
 
@@ -157,7 +157,7 @@ def _value_rows(embedded: Sequence, sep: str, texts: Sequence = (), tail: Sequen
 def cmd_enumerate(args) -> Report:
     spec, ball = _group_ball(args)
     per_radius = ball.per_radius_counts()
-    payload = {
+    return Report(lambda: {
         "command": "enumerate",
         "group": spec.name,
         "field_d": spec.field.d,
@@ -165,9 +165,7 @@ def cmd_enumerate(args) -> Report:
         "size": ball.size,
         "complete": ball.complete,
         "per_radius": [{"radius": r, "cumulative": c} for r, c in per_radius],
-    }
-    return Report(payload, lambda: _csv([["radius", "cumulative_size"], *per_radius]),
-                  lambda: _data(per_radius))
+    }, lambda: _csv([["radius", "cumulative_size"], *per_radius]), lambda: _data(per_radius))
 
 
 def cmd_traces(args) -> Report:
@@ -175,19 +173,16 @@ def cmd_traces(args) -> Report:
     ts = trace_set(ball, reduced=not args.all)
     texts = list(map(format_quadelem, ts.exact))
     lengths = list(map(ts.provenance.__getitem__, ts.exact))
-    payload = {
+    return Report(lambda: {
         "command": "traces",
         "group": spec.name,
-        "radius": ball.radius,
+        "radius": ts.radius,
         "reduced": ts.reduced,
         "size": ts.size,
         "traces": [{"value": v, "re": z.real, "im": z.imag, "word_length": wl}
                    for v, z, wl in zip(texts, ts.embedded, lengths)],
-    }
-    return Report(payload,
-                  lambda: "trace,re,im,word_length\n" + _value_rows(
-                      ts.embedded, ",", texts, lengths),
-                  lambda: _value_rows(ts.embedded, " "))
+    }, lambda: "trace,re,im,word_length\n" + _value_rows(ts.embedded, ",", texts, lengths),
+       lambda: _value_rows(ts.embedded, " "))
 
 
 def cmd_cluster(args) -> Report:
@@ -195,33 +190,28 @@ def cmd_cluster(args) -> Report:
     ts = trace_set(ball)
     grid = cluster_counts(ts.embedded)
     cells = sorted(grid.counts.items())
-    gap_val = gap(ts.embedded) if ts.size >= 2 else None
-    ns = list(range(1, args.max_n + 1))
-    _, slope = growth_profile(ts.embedded, ns)
-    payload = {
+    return Report(lambda: {
         "command": "cluster",
         "group": spec.name,
-        "radius": ball.radius,
+        "radius": ts.radius,
         "max_count": grid.max_count,
         "cells_touched": grid.cells_touched,
         "mass": grid.mass,
-        "gap": gap_val,
-        "growth_slope": slope,
-    }
-    return Report(payload,
-                  lambda: _csv([["cell", "m", "n", "count"],
-                                *([idx, m, n, cnt] for idx, ((m, n), cnt) in enumerate(cells))]),
-                  lambda: _data([m, n, cnt] for (m, n), cnt in cells))
+        "gap": gap(ts.embedded) if ts.size >= 2 else None,
+        "growth_slope": growth_profile(ts.embedded, list(range(1, args.max_n + 1)))[1],
+    }, lambda: _csv([["cell", "m", "n", "count"],
+                     *([idx, m, n, cnt] for idx, ((m, n), cnt) in enumerate(cells))]),
+       lambda: _data([m, n, cnt] for (m, n), cnt in cells))
 
 
 def cmd_gap(args) -> Report:
     spec, ball = _group_ball(args)
     ts = trace_set(ball)
     val = gap(ts.embedded)
-    payload = {"command": "gap", "group": spec.name, "radius": ball.radius,
-               "n_traces": ts.size, "gap": val}
     row = [ball.radius, _dec(val)]
-    return Report(payload, lambda: _csv([["radius", "gap"], row]), lambda: _data([row]))
+    return Report(lambda: {"command": "gap", "group": spec.name, "radius": ts.radius,
+                           "n_traces": ts.size, "gap": val},
+                  lambda: _csv([["radius", "gap"], row]), lambda: _data([row]))
 
 
 def cmd_growth(args) -> Report:
@@ -229,19 +219,16 @@ def cmd_growth(args) -> Report:
     ts = trace_set(ball)
     ns = list(range(1, args.max_n + 1))
     counts, slope = growth_profile(ts.embedded, ns)
-    payload = {
-        "command": "growth", "group": spec.name, "radius": ball.radius,
+    return Report(lambda: {
+        "command": "growth", "group": spec.name, "radius": ts.radius,
         "counts": [{"n": n, "count": c} for n, c in counts],
         "slope": slope,
-    }
-    return Report(payload, lambda: _csv([["n", "count"], *counts]), lambda: _data(counts))
+    }, lambda: _csv([["n", "count"], *counts]), lambda: _data(counts))
 
 
 def cmd_arith_check(args) -> Report:
     spec, ball = _group_ball(args)
     report = takeuchi_verdict(ball, pair_budget=args.pair_budget)
-    payload = {"command": "arith-check", "group": spec.name,
-               "expected_class": spec.expected_class, **report.to_dict()}
     growth = report.conjugate_growth
     csv_rows = [["key", "value"],
                 ["radius", report.radius],
@@ -250,7 +237,9 @@ def cmd_arith_check(args) -> Report:
                 ["verdict", report.verdict],
                 ["conjugate_flag", growth.flag],
                 ["elementary", report.elementary]]
-    return Report(payload, lambda: _csv(csv_rows),
+    return Report(lambda: {"command": "arith-check", "group": spec.name,
+                           "expected_class": spec.expected_class, **report.to_dict()},
+                  lambda: _csv(csv_rows),
                   lambda: _data([s, _dec(m)] for s, m in zip(growth.shells, growth.maxima)))
 
 
@@ -282,7 +271,7 @@ def cmd_delta_c(args) -> Report:
         wit = delta_c_cluster_witness(c, ring, args.witness, m1=args.m1)
         texts = list(map(format_quadelem, wit.points))
         embedded = embed_elements(wit.points)
-        payload = {
+        return Report(lambda: {
             "command": "delta-c-witness",
             "c": format_quadelem(c),
             "ring_d": ring.field.d,
@@ -293,98 +282,93 @@ def cmd_delta_c(args) -> Report:
             "q": format_quadelem(wit.q),
             "points": texts,
             "max_deviation": wit.max_deviation(),
-        }
-        return Report(payload,
-                      lambda: "point,re,im\n" + _value_rows(embedded, ",", texts),
-                      lambda: _value_rows(embedded, " "))
+        }, lambda: "point,re,im\n" + _value_rows(embedded, ",", texts),
+           lambda: _value_rows(embedded, " "))
     if _beyond_float_range(c, args.k_bound, args.n_bound, args.m1):
         raise PreconditionError(CELLS_NEED_FINITE_POINTS)
     dset = delta_c_set(c, ring, args.k_bound, args.n_bound, m1=args.m1)
     grid = cluster_counts(dset.embedded)
-    payload = {
+    # the payload holds the two totals, so that the cell counts are freed
+    # before a table is written
+    max_count, cells_touched = grid.max_count, grid.cells_touched
+    return Report(lambda: {
         "command": "delta-c",
         "c": format_quadelem(c),
         "ring_d": ring.field.d,
         "k_bound": args.k_bound,
         "n_bound": args.n_bound,
         "size": len(dset),
-        "max_count": grid.max_count,
-        "cells_touched": grid.cells_touched,
-    }
-    return Report(payload,
-                  lambda: "value,re,im\n" + _value_rows(
-                      dset.embedded, ",", dset.ring.format_values(dset.coords)),
-                  lambda: _value_rows(dset.embedded, " "))
+        "max_count": max_count,
+        "cells_touched": cells_touched,
+    }, lambda: "value,re,im\n" + _value_rows(
+           dset.embedded, ",", dset.ring.format_values(dset.coords)),
+       lambda: _value_rows(dset.embedded, " "))
 
 
 def cmd_counting(args) -> Report:
     n = args.N
     if args.kind == "dn":
         ds = dn_set(n)
-        payload = {"command": "counting", "kind": "dn", "N": n, "size": ds.size,
-                   "lower_bound": n * math.log(n) - n}
-        return Report(payload, lambda: _csv([["k", "l"], *ds.tuples]),
-                      lambda: _data(ds.tuples))
+        return Report(lambda: {"command": "counting", "kind": "dn", "N": n, "size": ds.size,
+                               "lower_bound": n * math.log(n) - n},
+                      lambda: _csv([["k", "l"], *ds.tuples]), lambda: _data(ds.tuples))
     if args.kind == "rn":
         rs = rn_set(n)  # rn_set checks its size against the totient formula
-        payload = {"command": "counting", "kind": "rn", "N": n, "size": rs.size,
-                   "totient_formula": rs.size, "ratio_n2": rs.size / (n * n)}
-        return Report(payload, lambda: _csv([["r1", "r2", "r3", "r4"], *rs.tuples]),
+        return Report(lambda: {"command": "counting", "kind": "rn", "N": n, "size": rs.size,
+                               "totient_formula": rs.size, "ratio_n2": rs.size / (n * n)},
+                      lambda: _csv([["r1", "r2", "r3", "r4"], *rs.tuples]),
                       lambda: _data(rs.tuples))
     if args.kind == "two-to-one":
         rep = rn_two_to_one_check(n)
-        payload = {"command": "counting", "kind": "two-to-one", "N": n,
-                   "n_tuples": rep.n_tuples, "n_fibers": rep.n_fibers,
-                   "max_fiber_size": rep.max_fiber_size,
-                   "swap_fibers_ok": rep.swap_fibers_ok,
-                   "diagonal_ok": rep.diagonal_ok, "ok": rep.ok}
         rows = [["n_tuples", rep.n_tuples], ["n_fibers", rep.n_fibers],
                 ["max_fiber_size", rep.max_fiber_size], ["ok", rep.ok]]
-        return Report(payload, lambda: _csv([["key", "value"], *rows]),
-                      lambda: _data(rows))
+        return Report(lambda: {"command": "counting", "kind": "two-to-one", "N": n,
+                               "n_tuples": rep.n_tuples, "n_fibers": rep.n_fibers,
+                               "max_fiber_size": rep.max_fiber_size,
+                               "swap_fibers_ok": rep.swap_fibers_ok,
+                               "diagonal_ok": rep.diagonal_ok, "ok": rep.ok},
+                      lambda: _csv([["key", "value"], *rows]), lambda: _data(rows))
     rep = totient_sum_check(n)
-    payload = {"command": "counting", "kind": "totient", "N": n,
-               "sum_phi": rep.sum_phi,
-               "ratio_to_asymptotic": rep.ratio_to_asymptotic,
-               "pointwise_ok": rep.pointwise_ok,
-               "pointwise_checked_from": rep.pointwise_checked_from}
     rows = [["sum_phi", rep.sum_phi],
             ["ratio", _dec(rep.ratio_to_asymptotic)],
             ["pointwise_ok", rep.pointwise_ok]]
-    return Report(payload, lambda: _csv([["key", "value"], *rows]), lambda: _data(rows))
+    return Report(lambda: {"command": "counting", "kind": "totient", "N": n,
+                           "sum_phi": rep.sum_phi,
+                           "ratio_to_asymptotic": rep.ratio_to_asymptotic,
+                           "pointwise_ok": rep.pointwise_ok,
+                           "pointwise_checked_from": rep.pointwise_checked_from},
+                  lambda: _csv([["key", "value"], *rows]), lambda: _data(rows))
 
 
 def cmd_kronecker(args) -> Report:
     env = kronecker_gap_demo(args.theta1, args.theta2, args.K, args.delta)
-    payload = {
-        "command": "kronecker", "theta1": args.theta1, "theta2": args.theta2,
-        "K": args.K, "delta": args.delta,
-        "final_min": env[-1][1],
-        "envelope": [{"K": k, "min": m} for k, m in env],
-    }
 
     def rows():
         return ([k, _dec(m)] for k, m in env)
 
-    return Report(payload, lambda: _csv([["K", "min"], *rows()]), lambda: _data(rows()))
+    return Report(lambda: {
+        "command": "kronecker", "theta1": args.theta1, "theta2": args.theta2,
+        "K": args.K, "delta": args.delta,
+        "final_min": env[-1][1],
+        "envelope": [{"K": k, "min": m} for k, m in env],
+    }, lambda: _csv([["K", "min"], *rows()]), lambda: _data(rows()))
 
 
 def cmd_corollary(args) -> Report:
     spec, ball = _group_ball(args)
     ts = trace_set(ball)
     rep = subtraction_closure_check(ts, args.window)
-    payload = {
-        "command": "corollary", "group": spec.name, "radius": ball.radius,
+    rows = [["closed", rep.closed], ["has_two", rep.has_two],
+            ["has_four", rep.has_four], ["identities_ok", rep.identities_ok],
+            ["pairs_checked", rep.pairs_checked]]
+    return Report(lambda: {
+        "command": "corollary", "group": spec.name, "radius": ts.radius,
         "window": str(rep.window), "closed": rep.closed,
         "violations": [[format_quadelem(a), format_quadelem(b), format_quadelem(d)]
                        for a, b, d in rep.violations],
         "has_two": rep.has_two, "has_four": rep.has_four,
         "identities_ok": rep.identities_ok, "pairs_checked": rep.pairs_checked,
-    }
-    rows = [["closed", rep.closed], ["has_two", rep.has_two],
-            ["has_four", rep.has_four], ["identities_ok", rep.identities_ok],
-            ["pairs_checked", rep.pairs_checked]]
-    return Report(payload, lambda: _csv([["key", "value"], *rows]), lambda: _data(rows))
+    }, lambda: _csv([["key", "value"], *rows]), lambda: _data(rows))
 
 
 # -- argument parsing --------------------------------------------------------

@@ -8,13 +8,11 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 
 from .errors import BudgetExceededError, PreconditionError
 from .psl2 import ProjMat, format_mat2, parse_mat2
-from .qfield import (EUCLIDEAN_IMAGINARY_D, QQ, FieldDesc, QuadElem, embed_elements,
-                     ring_of_integers)
+from .qfield import QQ, FieldDesc, QuadElem, embed_elements
 
 DEFAULT_CAP = 5_000_000
 DEFAULT_PAIR_BUDGET = 90_000  # of gamma2_ball
@@ -193,59 +191,52 @@ def gamma2_ball(ball: Ball, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Ball:
 
 # -- catalog ----------------------------------------------------------------
 
-def _psl2z_gens() -> tuple[ProjMat, ...]:
-    return (ProjMat.make(0, -1, 1, 0), ProjMat.make(1, 1, 0, 1))
-
-
-_GAMMA0_TABLES = {
-    2: [[1, 1, 0, 1], [1, -1, 2, -1]],
-    3: [[1, 1, 0, 1], [1, -1, 3, -2]],
-    4: [[1, 1, 0, 1], [1, 0, 4, 1]],
-    5: [[1, 1, 0, 1], [2, -1, 5, -2], [-2, -1, 5, 2]],
-    6: [[1, 1, 0, 1], [5, -1, 6, -1], [7, -3, 12, -5]],
-}
-
-_HECKE_LAMBDA = {
-    4: (2, QuadElem.of(0, 1, FieldDesc(2))),                      # sqrt(2)
-    5: (5, QuadElem.of(Fraction(1, 2), Fraction(1, 2), FieldDesc(5))),
-    6: (3, QuadElem.of(0, 1, FieldDesc(3))),                      # sqrt(3)
-}
+# One group spec file's JSON object per canonical name. Generator order fixes
+# the BFS order of a ball, and so its word-length provenance. (T, T_omega, S)
+# generates PSL(2, O_d) only over the Euclidean imaginary quadratic rings.
+_CATALOG = {name: {"name": name, "field_d": d, "generators": gens, "expected_class": cls}
+            for name, d, gens, cls in [
+    ("psl2z", None, ["[0,1;-1,0]", "[1,1;0,1]"], ARITHMETIC),
+    ("gamma0(2)", None, ["[1,1;0,1]", "[1,-1;2,-1]"], ARITHMETIC),
+    ("gamma0(3)", None, ["[1,1;0,1]", "[1,-1;3,-2]"], ARITHMETIC),
+    ("gamma0(4)", None, ["[1,1;0,1]", "[1,0;4,1]"], ARITHMETIC),
+    ("gamma0(5)", None, ["[1,1;0,1]", "[2,-1;5,-2]", "[2,1;-5,-2]"], ARITHMETIC),
+    ("gamma0(6)", None, ["[1,1;0,1]", "[5,-1;6,-1]", "[7,-3;12,-5]"], ARITHMETIC),
+    ("hecke(4)", 2, ["[0,1;-1,0]", "[1,sqrt(2);0,1]"], ARITHMETIC),
+    ("hecke(5)", 5, ["[0,1;-1,0]", "[1,1/2+1/2*sqrt(5);0,1]"], NON_ARITHMETIC),
+    ("hecke(6)", 3, ["[0,1;-1,0]", "[1,sqrt(3);0,1]"], ARITHMETIC),
+    ("bianchi(-1)", -1, ["[1,1;0,1]", "[1,sqrt(-1);0,1]", "[0,1;-1,0]"], ARITHMETIC),
+    ("bianchi(-2)", -2, ["[1,1;0,1]", "[1,sqrt(-2);0,1]", "[0,1;-1,0]"], ARITHMETIC),
+    ("bianchi(-3)", -3, ["[1,1;0,1]", "[1,1/2+1/2*sqrt(-3);0,1]", "[0,1;-1,0]"], ARITHMETIC),
+    ("bianchi(-7)", -7, ["[1,1;0,1]", "[1,1/2+1/2*sqrt(-7);0,1]", "[0,1;-1,0]"], ARITHMETIC),
+    ("bianchi(-11)", -11, ["[1,1;0,1]", "[1,1/2+1/2*sqrt(-11);0,1]", "[0,1;-1,0]"],
+     ARITHMETIC),
+]}
 
 
 def catalog_names() -> list[str]:
-    names = ["psl2z"]
-    names += [f"gamma0({n})" for n in sorted(_GAMMA0_TABLES)]
-    names += [f"hecke({q})" for q in sorted(_HECKE_LAMBDA)]
-    names += [f"bianchi({d})" for d in EUCLIDEAN_IMAGINARY_D]
-    return names
+    return list(_CATALOG)
+
+
+@functools.cache
+def _catalog_spec(name: str) -> GroupSpec:
+    return group_spec_from_dict(_CATALOG[name])
 
 
 def catalog(name: str) -> GroupSpec:
+    """The catalog group of a name: spaces and case are ignored, an index is
+    any int literal, and gamma0(1) is psl2z."""
     key = name.replace(" ", "").lower()
-    if key == "psl2z" or key == "gamma0(1)":
-        return GroupSpec("psl2z", _psl2z_gens(), QQ, ARITHMETIC)
     family, _, index = key.partition("(")
     try:
         n = int(index[:-1]) if index.endswith(")") else None
     except ValueError:  # no int literal between the parentheses
         n = None
-    if family == "gamma0" and n in _GAMMA0_TABLES:
-        gens = tuple(ProjMat.make(*row) for row in _GAMMA0_TABLES[n])
-        return GroupSpec(f"gamma0({n})", gens, QQ, ARITHMETIC)
-    if family == "hecke" and n in _HECKE_LAMBDA:
-        d, lam = _HECKE_LAMBDA[n]
-        fld = FieldDesc(d)
-        gens = (ProjMat.make(0, -1, 1, 0, field=fld),
-                ProjMat.make(1, lam, 0, 1, field=fld))
-        cls = NON_ARITHMETIC if n == 5 else ARITHMETIC
-        return GroupSpec(f"hecke({n})", gens, fld, cls)
-    if family == "bianchi" and n in EUCLIDEAN_IMAGINARY_D:
-        fld = FieldDesc(n)
-        gens = (ProjMat.make(1, 1, 0, 1, field=fld),
-                ProjMat.make(1, ring_of_integers(fld).omega, 0, 1, field=fld),
-                ProjMat.make(0, -1, 1, 0, field=fld))
-        return GroupSpec(f"bianchi({n})", gens, fld, ARITHMETIC)
-    raise KeyError(f"unknown catalog group {name!r}; known: {', '.join(catalog_names())}")
+    if n is not None:
+        key = "psl2z" if (family, n) == ("gamma0", 1) else f"{family}({n})"
+    if key not in _CATALOG:
+        raise KeyError(f"unknown catalog group {name!r}; known: {', '.join(_CATALOG)}")
+    return _catalog_spec(key)
 
 
 # -- group spec files -------------------------------------------------------

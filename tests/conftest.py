@@ -14,8 +14,9 @@ import mpmath
 import pytest
 
 from tracelab import (Ball, BudgetExceededError, FieldDesc, FieldMismatchError, Mat2,
-                      PreconditionError, QQ, QuadElem, RingOfIntegers, canonical_trace,
-                      m2_constant)
+                      PreconditionError, ProjMat, QQ, QuadElem, RingOfIntegers,
+                      canonical_trace, m2_constant)
+from tracelab.groups import ARITHMETIC, NON_ARITHMETIC, GroupSpec
 from tracelab.analytics import WITNESS_BIT_BUDGET, _cells
 from tracelab.qfield import _TERM_RE, _common_field, _nearest_int, _parse_rat
 from tracelab.cli import main
@@ -101,6 +102,48 @@ def gamma2_ball_reference(ball: Ball, pair_budget: int = 90_000) -> Ball:
         for s2, w2 in sub:
             visit(s1 * s2, w1 + w2)
     return Ball(2 * ball.radius, dict(sorted(prov.items(), key=lambda kv: kv[1])))
+
+
+# -- the hand-built catalog: the reference for its spec-file rows ---------
+
+_GAMMA0_TABLES = {
+    2: [[1, 1, 0, 1], [1, -1, 2, -1]],
+    3: [[1, 1, 0, 1], [1, -1, 3, -2]],
+    4: [[1, 1, 0, 1], [1, 0, 4, 1]],
+    5: [[1, 1, 0, 1], [2, -1, 5, -2], [-2, -1, 5, 2]],
+    6: [[1, 1, 0, 1], [5, -1, 6, -1], [7, -3, 12, -5]],
+}
+
+_HECKE_LAMBDA = {
+    4: (2, QuadElem.of(0, 1, FieldDesc(2))),                      # sqrt(2)
+    5: (5, QuadElem.of(Fraction(1, 2), Fraction(1, 2), FieldDesc(5))),
+    6: (3, QuadElem.of(0, 1, FieldDesc(3))),                      # sqrt(3)
+}
+
+
+def catalog_reference(name: str) -> GroupSpec:
+    """The catalog group of a canonical name, built from matrix entries by
+    hand rather than parsed from matrix literals."""
+    if name == "psl2z":
+        gens = (ProjMat.make(0, -1, 1, 0), ProjMat.make(1, 1, 0, 1))
+        return GroupSpec("psl2z", gens, QQ, ARITHMETIC)
+    family, _, index = name.partition("(")
+    n = int(index[:-1])
+    if family == "gamma0":
+        gens = tuple(ProjMat.make(*row) for row in _GAMMA0_TABLES[n])
+        return GroupSpec(name, gens, QQ, ARITHMETIC)
+    if family == "hecke":
+        d, lam = _HECKE_LAMBDA[n]
+        fld = FieldDesc(d)
+        gens = (ProjMat.make(0, -1, 1, 0, field=fld), ProjMat.make(1, lam, 0, 1, field=fld))
+        return GroupSpec(name, gens, fld, NON_ARITHMETIC if n == 5 else ARITHMETIC)
+    if family == "bianchi":
+        fld = FieldDesc(n)
+        gens = (ProjMat.make(1, 1, 0, 1, field=fld),
+                ProjMat.make(1, RingOfIntegers(fld).omega, 0, 1, field=fld),
+                ProjMat.make(0, -1, 1, 0, field=fld))
+        return GroupSpec(name, gens, fld, ARITHMETIC)
+    raise KeyError(name)
 
 
 # -- the Fraction path: the reference arithmetic for QuadElem -------------

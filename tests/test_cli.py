@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tracelab import QuadElem, parse_quadelem
+from tracelab import QuadElem, cli, parse_quadelem
 from tracelab.cli import main
 
 from conftest import strict_json
@@ -46,6 +46,21 @@ class TestBasicCommands:
         payload = json.loads(out)
         assert payload["max_count"] == 1
         assert payload["mass"] == payload["cells_touched"]
+
+    @pytest.mark.parametrize("fmt, called", [("csv", []), ("data", []),
+                                             ("json", ["gap", "growth_profile"])])
+    def test_cluster_builds_only_what_it_prints(self, fmt, called, capsys, monkeypatch):
+        # gap and the growth slope appear only in the JSON object
+        calls = []
+        for name in ("gap", "growth_profile"):
+            def record(*args, name=name, orig=getattr(cli, name)):
+                calls.append(name)
+                return orig(*args)
+            monkeypatch.setattr(cli, name, record)
+        code, out, _ = run_cli(["cluster", "--group", "hecke(5)", "--radius", "4",
+                                "--format", fmt], capsys)
+        assert code == 0 and out
+        assert calls == called
 
     def test_gap_data(self, capsys):
         code, out, _ = run_cli(["gap", "--group", "psl2z", "--radius", "4",
@@ -134,8 +149,10 @@ class TestExitCodes:
         assert err.startswith(f"error: unknown catalog group {name!r}; known: psl2z, ")
 
     @pytest.mark.parametrize("name, canonical", [
-        ("Hecke( 5 )", "hecke(5)"), ("GAMMA0(2)", "gamma0(2)"), ("gamma0(1)", "psl2z"),
-        ("bianchi(-3)", "bianchi(-3)"), ("PSL2Z", "psl2z")])
+        ("Hecke( 5 )", "hecke(5)"), ("hecke(05)", "hecke(5)"), ("hecke(+5)", "hecke(5)"),
+        ("hecke(\u0665)", "hecke(5)"), ("GAMMA0(2)", "gamma0(2)"), ("GAMMA0(02)", "gamma0(2)"),
+        ("gamma0(1)", "psl2z"), ("gamma0(01)", "psl2z"), ("gamma0(+1)", "psl2z"),
+        ("bianchi(-3)", "bianchi(-3)"), ("bianchi(-01)", "bianchi(-1)"), ("PSL2Z", "psl2z")])
     def test_catalog_spellings(self, name, canonical, capsys):
         code, out, _ = run_cli(["enumerate", "--group", name, "--radius", "1"], capsys)
         assert code == 0 and json.loads(out)["group"] == canonical

@@ -5,13 +5,15 @@ from fractions import Fraction
 import pytest
 
 from tracelab import (Ball, BudgetExceededError, FieldDesc, PreconditionError,
-                      ProjMat, QQ, QuadElem, catalog, catalog_names,
+                      ProjMat, QQ, QuadElem, RingOfIntegers, catalog, catalog_names,
                       enumerate_ball, enumerate_largest_ball, format_quadelem,
-                      gamma2_ball, load_group_spec, trace_set)
+                      gamma2_ball, groups, load_group_spec, trace_set)
 from tracelab.groups import (ARITHMETIC, NON_ARITHMETIC, GroupSpec,
                              group_spec_from_dict, group_spec_to_dict)
+from tracelab.psl2 import parse_mat2
+from tracelab.qfield import EUCLIDEAN_IMAGINARY_D
 
-from conftest import gamma2_ball_reference
+from conftest import catalog_reference, gamma2_ball_reference
 
 FI = FieldDesc(-1)
 F5 = FieldDesc(5)
@@ -249,12 +251,42 @@ class TestCatalog:
         for name in catalog_names():
             catalog(name)
 
+    def test_names_keep_their_order(self):
+        # the unknown-group message lists the names in this order
+        assert catalog_names() == ["psl2z", *(f"gamma0({n})" for n in range(2, 7)),
+                                   *(f"hecke({n})" for n in (4, 5, 6)),
+                                   *(f"bianchi({d})" for d in (-1, -2, -3, -7, -11))]
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_row_is_the_hand_built_group(self, name):
+        # same name, field, expected_class and generators, in the same order
+        assert catalog(name) == catalog_reference(name)
+
+    def test_bianchi_rows_are_the_euclidean_rings(self):
+        # (T, T_omega, S) generates PSL(2, O_d) only over the Euclidean rings
+        rows = [groups._CATALOG[name] for name in catalog_names()
+                if name.startswith("bianchi(")]
+        assert [row["field_d"] for row in rows] == list(EUCLIDEAN_IMAGINARY_D)
+        for row in rows:
+            fld = FieldDesc(row["field_d"])
+            assert parse_mat2(row["generators"][1], fld).b == RingOfIntegers(fld).omega
+
+    def test_each_name_is_parsed_once(self):
+        groups._catalog_spec.cache_clear()
+        for _ in range(3):
+            for name in catalog_names():
+                assert catalog(name.upper()) is catalog(name)
+        info = groups._catalog_spec.cache_info()
+        assert (info.misses, info.currsize) == (len(catalog_names()), len(catalog_names()))
+
 
 class TestGroupSpecFiles:
-    def test_round_trip(self, tmp_path):
-        spec = catalog("hecke(5)")
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_round_trip(self, name, tmp_path):
+        spec = catalog(name)
         data = group_spec_to_dict(spec)
-        path = tmp_path / "h5.json"
+        assert data == groups._CATALOG[name]  # each row is the spec file the group writes
+        path = tmp_path / "spec.json"
         path.write_text(json.dumps(data))
         loaded = load_group_spec(path)
         assert loaded.name == spec.name

@@ -32,14 +32,16 @@ def test_ring_rule_has_one_owner(rule):
     assert len(lines) == 1, f"{rule!r} written on {lines}"
 
 
-@pytest.mark.parametrize("text", ["90_000", "finite points", "2 + dd", "math.sqrt(-d)"],
+@pytest.mark.parametrize("text", ["90_000", "finite points", "2 + dd", "math.sqrt(-d)",
+                                  "GroupSpec("],
                          ids=["default-pair-budget", "finite-points-message", "m2-squared",
-                              "float-rule"])
+                              "float-rule", "group-spec-construction"])
 def test_written_once(text):
     # the default pair budget, the precondition of unit cells, the exact
     # M2^2 = (2 + d^2) + 2*sqrt(1 + d^2) of qfield.m_power_sign and the float
     # rule of RingOfIntegers.embed_values each have one owner, which the
-    # other modules import
+    # other modules import; group_spec_from_dict builds every GroupSpec, the
+    # catalog's included
     lines = _lines_with(text)
     assert len(lines) == 1, f"{text!r} written on {lines}"
 

@@ -41,6 +41,9 @@ def test_tracer_installs_records_and_restores(tracing):
         assert cli.main(["arith-check", "--group", "hecke(5)", "--radius", "3",
                          "--pair-budget", "100"]) == 0
         assert cli.main(["corollary", "--group", "psl2z", "--radius", "3"]) == 0
+        # multiplies field elements itself: the catalog parses each group once
+        # per process, so its field products may have run before this test
+        assert cli.main(["delta-c", "--c", "3/2", "--ring", "Z", "--witness", "2"]) == 0
     finally:
         tracer.uninstall()
     assert _bindings() == before

@@ -251,29 +251,25 @@ def rn_two_to_one_check(n: int) -> TwoToOneReport:
     # (r2*B + r1)*(r4*B + r3): the product of the keys of its two pairs
     base = 2 * n + 1
     keys = [s * base + r for r, s in pairs]
-    # R_N in rn_set's order, by first pair (key a) grouped on r1; each tuple
-    # is recorded as its image and a
-    images: list[int] = []
-    heads: list[int] = []
-    for r1 in range(1, n + 1):
-        firsts, seconds = keys[upto[r1 - 1]:upto[r1]], keys[:upto[n // r1]]
-        a = list(itertools.chain.from_iterable(map(repeat, firsts, repeat(len(seconds)))))
-        images += map(mul, a, seconds * len(firsts))
-        heads += a
-    _check_rn_size(n, len(images))
-    sizes = Counter(images)
-    # a size-2 fiber is its (first, last) pair of tuples, and a tuple of the
-    # fiber of y is fixed by its first key a (its second is y // a): last is
-    # first swapped when its first key is the second key of first
-    first = dict(zip(reversed(images), reversed(heads)))
-    last = dict(zip(images, heads))
-    twos = list(itertools.compress(sizes, map(eq, sizes.values(), repeat(2))))
-    swap_ok = (list(map(last.__getitem__, twos))
-               == list(map(floordiv, twos, map(first.__getitem__, twos))))
-    # the diagonal tuples (r1, r2, r1, r2) are those with r1 <= sqrt(N)
-    diagonal_ok = all(sizes[a * a] == 1 for a in keys[:upto[math.isqrt(n)]])
-    return TwoToOneReport(n, len(images), len(sizes), max(sizes.values()),
-                          swap_ok, diagonal_ok)
+    # R_N is closed under the swap (a, b) -> (b, a), which keeps the image,
+    # so it is counted by unordered pair: the tuples (pairs[i], pairs[j]),
+    # i < j, each standing for itself and its swap, and the diagonal tuples
+    # (pairs[i], pairs[i]); both need r_i^2 <= N
+    roots = upto[math.isqrt(n)]
+    half: Counter = Counter()
+    for i in range(roots):
+        half.update(map(keys[i].__mul__, keys[i + 1:upto[n // pairs[i][0]]]))
+    diag = Counter(map(mul, keys[:roots], keys[:roots]))
+    n_tuples = 2 * half.total() + diag.total()
+    _check_rn_size(n, n_tuples)
+    # the fiber of y has 2*half[y] + diag[y] tuples; one of size 2 is a
+    # half tuple with its swap, or two diagonal tuples, which are no swap
+    return TwoToOneReport(
+        n, n_tuples, len(half) + sum(y not in half for y in diag),
+        max(2 * max(half.values(), default=0),
+            *(2 * half[y] + k for y, k in diag.items())),
+        not any(k == 2 and y not in half for y, k in diag.items()),
+        all(k == 1 and y not in half for y, k in diag.items()))
 
 
 @dataclass(frozen=True)
@@ -373,25 +369,34 @@ def delta_c_set(c: QuadElem, ring: RingOfIntegers, k_bound: int, n_bound: int,
     for p0, p1, q in powers:
         # m1*(i + j*omega)*(p0 + p1*omega)/q with omega^2 = t*omega - n
         u0, v0, u1, v1 = m1 * p0, m1 * n * p1, m1 * p1, m1 * (p0 + t * p1)
-        if ring.is_rational:
-            x0, x1 = list(map(mul, ks, repeat(u0))), list(map(mul, ks, repeat(u1)))
+        if basis.is_rational:  # c rational over Z: every omega-coordinate is 0
+            x0 = list(map(mul, ks, repeat(u0)))
+            g = list(map(gcd, x0, repeat(q)))
+            x0, x1 = list(map(floordiv, x0, g)), [0] * len(g)
         else:
-            x0 = list(map(sub, map(mul, lattice_i, repeat(u0)),
-                          map(mul, lattice_j, repeat(v0))))
-            x1 = list(map(add, map(mul, lattice_i, repeat(u1)),
-                          map(mul, lattice_j, repeat(v1))))
-        g = list(map(gcd, x0, x1, repeat(q)))
-        x0, x1, den = (list(map(floordiv, col, g)) for col in (x0, x1, repeat(q)))
+            if ring.is_rational:
+                x0, x1 = list(map(mul, ks, repeat(u0))), list(map(mul, ks, repeat(u1)))
+            else:
+                x0 = list(map(sub, map(mul, lattice_i, repeat(u0)),
+                              map(mul, lattice_j, repeat(v0))))
+                x1 = list(map(add, map(mul, lattice_i, repeat(u1)),
+                              map(mul, lattice_j, repeat(v1))))
+            g = list(map(gcd, x0, x1, repeat(q)))
+            x0, x1 = list(map(floordiv, x0, g)), list(map(floordiv, x1, g))
+        den = list(map(floordiv, repeat(q), g))
         values.update(zip(zip(x0, x1, den), basis.embed_values(x0, x1, den)))
     coords, embedded = list(values), list(values.values())
     keys = (list(zip(map(attrgetter("real"), embedded), map(attrgetter("imag"), embedded)))
             if basis.field.is_imaginary else embedded)
     order = sorted(range(len(coords)), key=keys.__getitem__)
-    if len(set(keys)) < len(keys):
+    sorted_keys = list(map(keys.__getitem__, order))
+    if any(map(eq, sorted_keys, sorted_keys[1:])):
         # equal embeddings keep the exact order of QuadElem's a, then b
         exact = basis.sqrt_terms
         order = [k for _, run in itertools.groupby(order, keys.__getitem__)
                  for k in sorted(run, key=lambda k: exact(*coords[k]))]
+    elif keys is embedded:  # real values with no ties: the keys are the values
+        return DeltaCSet(basis, tuple(map(coords.__getitem__, order)), tuple(sorted_keys))
     return DeltaCSet(basis, tuple(map(coords.__getitem__, order)),
                      tuple(map(embedded.__getitem__, order)))
 

@@ -4,6 +4,7 @@ arithmeticity experiments with deterministic CSV/JSON/data output."""
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import math
@@ -197,7 +198,7 @@ def cmd_cluster(args) -> Report:
         "max_count": grid.max_count,
         "cells_touched": grid.cells_touched,
         "mass": grid.mass,
-        "gap": gap(ts.embedded) if ts.size >= 2 else None,
+        "gap": gap(ts.embedded) if len(set(ts.embedded)) >= 2 else None,
         "growth_slope": growth_profile(ts.embedded, list(range(1, args.max_n + 1)))[1],
     }, lambda: _csv([["cell", "m", "n", "count"],
                      *([idx, m, n, cnt] for idx, ((m, n), cnt) in enumerate(cells))]),
@@ -287,20 +288,26 @@ def cmd_delta_c(args) -> Report:
     if _beyond_float_range(c, args.k_bound, args.n_bound, args.m1):
         raise PreconditionError(CELLS_NEED_FINITE_POINTS)
     dset = delta_c_set(c, ring, args.k_bound, args.n_bound, m1=args.m1)
-    grid = cluster_counts(dset.embedded)
-    # the payload holds the two totals, so that the cell counts are freed
-    # before a table is written
-    max_count, cells_touched = grid.max_count, grid.cells_touched
-    return Report(lambda: {
-        "command": "delta-c",
-        "c": format_quadelem(c),
-        "ring_d": ring.field.d,
-        "k_bound": args.k_bound,
-        "n_bound": args.n_bound,
-        "size": len(dset),
-        "max_count": max_count,
-        "cells_touched": cells_touched,
-    }, lambda: "value,re,im\n" + _value_rows(
+    # only the JSON object counts cells, yet every format rejects an
+    # infinite or NaN value as counting cells would: _beyond_float_range
+    # decides only the values certainly out of range
+    if not all(map(cmath.isfinite, dset.embedded)):
+        raise PreconditionError(CELLS_NEED_FINITE_POINTS)
+
+    def payload():
+        grid = cluster_counts(dset.embedded)
+        return {
+            "command": "delta-c",
+            "c": format_quadelem(c),
+            "ring_d": ring.field.d,
+            "k_bound": args.k_bound,
+            "n_bound": args.n_bound,
+            "size": len(dset),
+            "max_count": grid.max_count,
+            "cells_touched": grid.cells_touched,
+        }
+
+    return Report(payload, lambda: "value,re,im\n" + _value_rows(
            dset.embedded, ",", dset.ring.format_values(dset.coords)),
        lambda: _value_rows(dset.embedded, " "))
 

@@ -146,11 +146,6 @@ class ProjMat:
                        tuple(v * (den // e.den) for e in entries for v in (e.x0, e.x1)))
 
     @staticmethod
-    def make(a: Scalar, b: Scalar, c: Scalar, d: Scalar,
-             field: Optional[FieldDesc] = None) -> ProjMat:
-        return ProjMat.of(Mat2.of(a, b, c, d, field))
-
-    @staticmethod
     def identity(field: FieldDesc = QQ) -> ProjMat:
         return ProjMat(RingOfIntegers(field), 1, _IDENTITY)
 

@@ -52,6 +52,11 @@ def rng() -> random.Random:
     return random.Random(20260810)
 
 
+def projmat(a, b, c, d, field: Optional[FieldDesc] = None) -> ProjMat:
+    """The class in PSL(2) of [[a, b], [c, d]], entries as Mat2.of takes them."""
+    return ProjMat.of(Mat2.of(a, b, c, d, field))
+
+
 # -- the Mat2 path: the reference arithmetic for ProjMat ------------------
 
 def mat2_canonical(m: Mat2) -> Mat2:
@@ -125,23 +130,23 @@ def catalog_reference(name: str) -> GroupSpec:
     """The catalog group of a canonical name, built from matrix entries by
     hand rather than parsed from matrix literals."""
     if name == "psl2z":
-        gens = (ProjMat.make(0, -1, 1, 0), ProjMat.make(1, 1, 0, 1))
+        gens = (projmat(0, -1, 1, 0), projmat(1, 1, 0, 1))
         return GroupSpec("psl2z", gens, QQ, ARITHMETIC)
     family, _, index = name.partition("(")
     n = int(index[:-1])
     if family == "gamma0":
-        gens = tuple(ProjMat.make(*row) for row in _GAMMA0_TABLES[n])
+        gens = tuple(projmat(*row) for row in _GAMMA0_TABLES[n])
         return GroupSpec(name, gens, QQ, ARITHMETIC)
     if family == "hecke":
         d, lam = _HECKE_LAMBDA[n]
         fld = FieldDesc(d)
-        gens = (ProjMat.make(0, -1, 1, 0, field=fld), ProjMat.make(1, lam, 0, 1, field=fld))
+        gens = (projmat(0, -1, 1, 0, field=fld), projmat(1, lam, 0, 1, field=fld))
         return GroupSpec(name, gens, fld, NON_ARITHMETIC if n == 5 else ARITHMETIC)
     if family == "bianchi":
         fld = FieldDesc(n)
-        gens = (ProjMat.make(1, 1, 0, 1, field=fld),
-                ProjMat.make(1, RingOfIntegers(fld).omega, 0, 1, field=fld),
-                ProjMat.make(0, -1, 1, 0, field=fld))
+        gens = (projmat(1, 1, 0, 1, field=fld),
+                projmat(1, RingOfIntegers(fld).omega, 0, 1, field=fld),
+                projmat(0, -1, 1, 0, field=fld))
         return GroupSpec(name, gens, fld, ARITHMETIC)
     raise KeyError(name)
 

@@ -210,6 +210,14 @@ class TestCountingSets:
         with pytest.raises(PreconditionError):
             rn_two_to_one_check(401)
 
+    def test_rn_and_its_image_are_closed_under_the_swap(self):
+        # rn_two_to_one_check counts each unordered pair of halves once
+        for n in range(1, 81):
+            tuples = set(rn_reference(n))
+            for r1, r2, r3, r4 in tuples:
+                assert (r3, r4, r1, r2) in tuples
+                assert f_map(r3, r4, r1, r2) == f_map(r1, r2, r3, r4)
+
     @pytest.mark.parametrize("n", [*range(1, 81), 400])
     def test_rn_and_two_to_one_match_the_exhaustive_loops(self, n):
         assert rn_set(n).tuples == rn_reference(n)

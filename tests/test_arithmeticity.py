@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tracelab import (FieldDesc, Mat2, PreconditionError, ProjMat, QQ, canonical_trace,
+from tracelab import (FieldDesc, Mat2, PreconditionError, QQ, canonical_trace,
                       QuadElem, catalog, conjugate_boundedness, enumerate_ball,
                       gamma2_traces, integrality_check,
                       subtraction_closure_check, takeuchi_verdict, trace_field,
@@ -14,7 +14,7 @@ from tracelab.arithmeticity import (FLAG_BOUNDED, FLAG_NA_IMAGINARY,
                                     check_square_trace_identities)
 from tracelab.groups import GroupSpec, TraceSet
 
-from conftest import rand_mat
+from conftest import projmat, rand_mat
 
 F5 = FieldDesc(5)
 FI = FieldDesc(-1)
@@ -159,7 +159,7 @@ class TestVerdicts:
         assert rep10.verdict == VERDICT_WITNESS
 
     def test_elementary_group_flagged(self):
-        spec = GroupSpec("parabolic", (ProjMat.make(1, 1, 0, 1),), QQ)
+        spec = GroupSpec("parabolic", (projmat(1, 1, 0, 1),), QQ)
         rep = takeuchi_verdict(enumerate_ball(spec, 4))
         assert rep.elementary
         assert rep.verdict == VERDICT_INCONCLUSIVE
@@ -168,7 +168,7 @@ class TestVerdicts:
                              ids=["order-2", "order-3", "hyperbolic"])
     def test_one_generator_of_trace_other_than_2_is_not_elementary(self, entries):
         # the ball of S, of order 2, is {1, S}: its one non-identity trace decides
-        spec = GroupSpec("one", (ProjMat.make(*entries),), QQ)
+        spec = GroupSpec("one", (projmat(*entries),), QQ)
         assert not takeuchi_verdict(enumerate_ball(spec, 2)).elementary
 
     def test_report_serialization(self, psl2z_ball_8):
@@ -181,8 +181,8 @@ class TestVerdicts:
     def test_injected_violation_gives_witness(self):
         # a fabricated group whose ball has a certified non-integral trace:
         # conjugate of the translation by diag(2, 1/2) scales b by 4
-        g = ProjMat.make(q(1), q(Fraction(1, 4)), q(0), q(1))
-        h = ProjMat.make(q(2), q(1), q(1), q(1))
+        g = projmat(q(1), q(Fraction(1, 4)), q(0), q(1))
+        h = projmat(q(2), q(1), q(1), q(1))
         spec = GroupSpec("skewed", (g, h), QQ)
         rep = takeuchi_verdict(enumerate_ball(spec, 6))
         if not rep.integral:

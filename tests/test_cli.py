@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tracelab import QuadElem, cli, parse_quadelem
-from tracelab.cli import main
+from tracelab.cli import _beyond_float_range, _ring_from_flag, main
 
 from conftest import strict_json
 
@@ -61,6 +61,21 @@ class TestBasicCommands:
                                 "--format", fmt], capsys)
         assert code == 0 and out
         assert calls == called
+
+    @pytest.mark.parametrize("fmt, calls", [("csv", 0), ("data", 0), ("json", 1)])
+    def test_delta_c_builds_only_what_it_prints(self, fmt, calls, capsys, monkeypatch):
+        # the cell counts appear only in the JSON object
+        seen = []
+
+        def record(points, orig=cli.cluster_counts):
+            seen.append(len(points))
+            return orig(points)
+
+        monkeypatch.setattr(cli, "cluster_counts", record)
+        code, out, _ = run_cli(["delta-c", "--c", "3/2", "--ring", "Z", "--k-bound", "20",
+                                "--n-bound", "2", "--format", fmt], capsys)
+        assert code == 0 and out
+        assert len(seen) == calls
 
     def test_gap_data(self, capsys):
         code, out, _ = run_cli(["gap", "--group", "psl2z", "--radius", "4",
@@ -325,6 +340,29 @@ class TestStrictJson:
         assert code == 2 and out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("fmt, expected", [
+        ("json", None),
+        ("csv", "cell,m,n,count\n0,100000000000000000000,0,2\n"),
+        ("data", "100000000000000000000 0 2\n"),
+    ])
+    def test_gap_of_traces_embedded_to_one_point_is_null(self, capsys, tmp_path,
+                                                         fmt, expected):
+        # the traces 10^20 + 1 and 10^20 + 2 are distinct but both embed to
+        # 1e+20, so there is no distance between two distinct points
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"name": "near", "field_d": None, "generators": [
+            "[100000000000000000000,99999999999999999999;1,1]",
+            "[100000000000000000001,100000000000000000000;1,1]"]}))
+        code, out, err = run_cli(["cluster", "--spec-file", str(path), "--radius", "1",
+                                  "--format", fmt], capsys)
+        assert code == 0, err
+        if fmt == "json":
+            payload = strict_json(out)
+            assert payload["gap"] is None
+            assert (payload["mass"], payload["max_count"]) == (2, 2)
+        else:
+            assert out == expected
+
     def test_trace_beyond_float_range_is_null(self, capsys, tmp_path):
         n = "1" + "0" * 200
         path = tmp_path / "big.json"
@@ -433,6 +471,21 @@ class TestValuesBeyondLimits:
         # so the embedding is inf - inf, though |c^(2^11)| is tiny
         code, out, err = run_cli(["delta-c", "--c=-1/2+1/2*sqrt(5)", "--ring", "5",
                                   "--k-bound", "1", "--n-bound", "11"], capsys)
+        assert code == 4 and out == ""
+        assert "finite points" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "data"])
+    @pytest.mark.parametrize("c, ring", [(f"{2 ** 514}", "Z"),
+                                         (f"{2 ** 514}+{2 ** 514}*sqrt(-1)", "-1")],
+                             ids=["Z", "Z[i]"])
+    def test_float_range_band_is_4_in_every_format(self, capsys, c, ring, fmt):
+        # c^2 embeds to inf (over Z[i], to the complex 0 + inf*i), while
+        # |c| < 2^515 is too small for the early exit to decide: the points
+        # are checked finite whatever the format prints
+        ring_ = _ring_from_flag(ring)
+        assert not _beyond_float_range(parse_quadelem(c, ring_.field), 1, 1, 1)
+        code, out, err = run_cli(["delta-c", "--c", c, "--ring", ring, "--k-bound", "1",
+                                  "--n-bound", "1", "--format", fmt], capsys)
         assert code == 4 and out == ""
         assert "finite points" in err
 

@@ -13,7 +13,7 @@ from tracelab.groups import (ARITHMETIC, NON_ARITHMETIC, GroupSpec,
 from tracelab.psl2 import parse_mat2
 from tracelab.qfield import EUCLIDEAN_IMAGINARY_D
 
-from conftest import catalog_reference, gamma2_ball_reference
+from conftest import catalog_reference, gamma2_ball_reference, projmat
 
 FI = FieldDesc(-1)
 F5 = FieldDesc(5)
@@ -54,8 +54,8 @@ class TestEnumerateBall:
             assert ball.size <= 2 * len(spec.generators) + 1
 
     def test_free_abelian_translations(self):
-        gens = (ProjMat.make(1, 1, 0, 1, field=FI),
-                ProjMat.make(1, q(0, 1, FI), 0, 1, field=FI))
+        gens = (projmat(1, 1, 0, 1, field=FI),
+                projmat(1, q(0, 1, FI), 0, 1, field=FI))
         spec = GroupSpec("translations", gens, FI)
         ball = enumerate_ball(spec, 3)
         # lattice points m + n*i with |m| + |n| <= 3
@@ -157,9 +157,9 @@ class TestTraceSet:
     def test_embedded_of_a_ball_over_several_fields(self):
         # a ball built by hand may mix Q with a quadratic field: each trace
         # keeps its own embedding, a float over Q and a complex over Q(i)
-        mats = [ProjMat.make(2, 1, 1, 1), ProjMat.make(5, 2, 2, 1),
-                ProjMat.make(1, q(0, 1, FI), q(0, 1, FI), 0, field=FI),
-                ProjMat.make(3, 1, 2, 1, field=FI), ProjMat.make(1 + q(0, 1, FI), 1, -1, 0, field=FI)]
+        mats = [projmat(2, 1, 1, 1), projmat(5, 2, 2, 1),
+                projmat(1, q(0, 1, FI), q(0, 1, FI), 0, field=FI),
+                projmat(3, 1, 2, 1, field=FI), projmat(1 + q(0, 1, FI), 1, -1, 0, field=FI)]
         ts = trace_set(Ball(1, dict.fromkeys(mats, 1)))
         assert {t.field for t in ts.exact} == {QQ, FI}
         expected = tuple(t.embed() for t in ts.exact)
@@ -192,8 +192,8 @@ class TestGamma2Ball:
     def test_pair_products_present(self):
         ball = enumerate_ball(catalog("psl2z"), 3)
         g2 = gamma2_ball(ball, pair_budget=10_000)
-        a = ProjMat.make(1, 1, 0, 1)
-        b = ProjMat.make(0, -1, 1, 0)
+        a = projmat(1, 1, 0, 1)
+        b = projmat(0, -1, 1, 0)
         prod = (a * a) * (b * b)
         assert prod in g2.word_length
 

@@ -8,8 +8,8 @@ from tracelab import (FieldDesc, Mat2, MatClass, PreconditionError, ProjMat,
                       enumerate_ball, format_mat2, parabolic_shift_trace,
                       parse_mat2, trace_set)
 
-from conftest import (mat2_canonical, mat2_is_identity, mat2_least_traces, rand_elem,
-                      rand_mat)
+from conftest import (mat2_canonical, mat2_is_identity, mat2_least_traces, projmat,
+                      rand_elem, rand_mat)
 
 FI = FieldDesc(-1)
 F5 = FieldDesc(5)
@@ -21,20 +21,20 @@ def q(a, b=0, field=QQ):
 
 class TestGroupLaws:
     def test_product_example(self):
-        x = ProjMat.make(1, 1, 0, 1)
-        y = ProjMat.make(1, 0, 1, 1)
+        x = projmat(1, 1, 0, 1)
+        y = projmat(1, 0, 1, 1)
         z = x * y
-        assert z == ProjMat.make(2, 1, 1, 1)
+        assert z == projmat(2, 1, 1, 1)
         assert z.trace() == q(3)
 
     def test_inverse(self):
-        x = ProjMat.make(2, 1, 3, 2)
+        x = projmat(2, 1, 3, 2)
         assert (x * x.inv()).is_identity()
         assert (x * x.inv()).trace() == q(2)
 
     def test_trace_canonical_sign(self):
-        assert ProjMat.make(0, -1, 1, 0).trace() == q(0)
-        assert ProjMat.make(-2, 1, 1, -1).trace() == q(3)  # folded from -3
+        assert projmat(0, -1, 1, 0).trace() == q(0)
+        assert projmat(-2, 1, 1, -1).trace() == q(3)  # folded from -3
 
     def test_det_enforced(self):
         with pytest.raises(ValueError):
@@ -61,52 +61,52 @@ class TestGroupLaws:
 
 class TestClassify:
     def test_examples(self):
-        assert classify(ProjMat.make(1, 5, 0, 1)) is MatClass.PARABOLIC
-        assert classify(ProjMat.make(0, -1, 1, 0)) is MatClass.ELLIPTIC
-        assert classify(ProjMat.make(2, 1, 1, 1)) is MatClass.HYPERBOLIC_OR_LOXODROMIC
+        assert classify(projmat(1, 5, 0, 1)) is MatClass.PARABOLIC
+        assert classify(projmat(0, -1, 1, 0)) is MatClass.ELLIPTIC
+        assert classify(projmat(2, 1, 1, 1)) is MatClass.HYPERBOLIC_OR_LOXODROMIC
         assert classify(ProjMat.identity()) is MatClass.IDENTITY
-        assert classify(ProjMat.make(-1, 0, 0, -1)) is MatClass.IDENTITY
+        assert classify(projmat(-1, 0, 0, -1)) is MatClass.IDENTITY
 
     def test_loxodromic_complex_trace(self):
-        m = ProjMat.make(q(1, 1, FI), q(1, 0, FI), q(0, 1, FI), q(1, 0, FI))
+        m = projmat(q(1, 1, FI), q(1, 0, FI), q(0, 1, FI), q(1, 0, FI))
         t = m.rep.trace()
         assert t.b != 0
         assert classify(m) is MatClass.HYPERBOLIC_OR_LOXODROMIC
 
     def test_negative_parabolic(self):
-        assert classify(ProjMat.make(-1, 3, 0, -1)) is MatClass.PARABOLIC
+        assert classify(projmat(-1, 3, 0, -1)) is MatClass.PARABOLIC
 
 
 class TestCuspNormalize:
     def test_basic_example(self):
-        p = ProjMat.make(1, 1, 0, 1)
-        g = ProjMat.make(0, -1, 1, 0)
+        p = projmat(1, 1, 0, 1)
+        g = projmat(0, -1, 1, 0)
         h, beta_sq = cusp_normalize(p, g)
         assert h.is_identity()
         assert beta_sq == q(1)
 
     def test_scaled_example(self):
         # g = (0, -1/2; 2, 0) conjugates (1,2;0,1) to (1,0;-8,1): beta^2 = 4
-        p = ProjMat.make(1, 2, 0, 1)
-        g = ProjMat.make(0, Fraction(-1, 2), 2, 0)
+        p = projmat(1, 2, 0, 1)
+        g = projmat(0, Fraction(-1, 2), 2, 0)
         h, beta_sq = cusp_normalize(p, g)
         assert h.is_identity()
         assert beta_sq == q(4)
 
     def test_elliptic_rejected(self):
         with pytest.raises(PreconditionError):
-            cusp_normalize(ProjMat.make(0, -1, 1, 0), ProjMat.make(1, 1, 0, 1))
+            cusp_normalize(projmat(0, -1, 1, 0), projmat(1, 1, 0, 1))
 
     def test_fixed_point_not_moved(self):
-        p = ProjMat.make(1, 1, 0, 1)
+        p = projmat(1, 1, 0, 1)
         with pytest.raises(PreconditionError):
-            cusp_normalize(p, ProjMat.make(1, 5, 0, 1))  # also fixes infinity
+            cusp_normalize(p, projmat(1, 5, 0, 1))  # also fixes infinity
 
     def test_conjugated_instance_postconditions(self, rng):
         # conjugating the data must still produce unitriangular forms
-        r = ProjMat.make(2, 1, 1, 1)
-        p = r * ProjMat.make(1, 3, 0, 1) * r.inv()
-        g = r * ProjMat.make(0, -1, 1, 0) * r.inv()
+        r = projmat(2, 1, 1, 1)
+        p = r * projmat(1, 3, 0, 1) * r.inv()
+        g = r * projmat(0, -1, 1, 0) * r.inv()
         h, beta_sq = cusp_normalize(p, g)
         upper = h.rep * p.rep * h.rep.adj()
         assert upper.c.is_zero() and upper.a == upper.d
@@ -117,8 +117,8 @@ class TestCuspNormalize:
         assert beta_sq == -(u / t)
 
     def test_gaussian_field_instance(self):
-        p = ProjMat.make(q(1, 0, FI), q(0, 1, FI), q(0, 0, FI), q(1, 0, FI))
-        g = ProjMat.make(0, -1, 1, 0, field=FI)
+        p = projmat(q(1, 0, FI), q(0, 1, FI), q(0, 0, FI), q(1, 0, FI))
+        g = projmat(0, -1, 1, 0, field=FI)
         h, beta_sq = cusp_normalize(p, g)
         assert not beta_sq.is_zero()
 

@@ -15,8 +15,9 @@ from itertools import repeat
 from operator import add, attrgetter, eq, floordiv, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import BudgetExceededError, FieldMismatchError, PreconditionError
-from .qfield import (QuadElem, RingOfIntegers, _bezout_bounded_unchecked,
+from .errors import BudgetExceededError, PreconditionError
+from .groups import DEFAULT_CAP
+from .qfield import (QuadElem, RingOfIntegers, _bezout_bounded_unchecked, _common_field,
                      _sqrt_ratio_float, gcd_ring, m_power_sign, prime_power_factor)
 
 Number = Union[int, float, complex, Fraction]
@@ -155,6 +156,13 @@ def omega_collision_scan(a, b, c, beta_sq, k_range: int,
 
 # -- counting sets ----------------------------------------------------------
 
+def _within_budget(rows: int, cap: int, what: str) -> None:
+    """Raise BudgetExceededError, before `what` is built, when rows, a count
+    of its rows that never undercounts, pass the element budget cap."""
+    if rows > cap:
+        raise BudgetExceededError(f"{what} would have more rows than the element budget {cap}")
+
+
 @dataclass(frozen=True)
 class CountingSet:
     kind: str  # "D_N" or "R_N"
@@ -166,10 +174,15 @@ class CountingSet:
         return len(self.tuples)
 
 
-def dn_set(n: int) -> CountingSet:
-    """{(k, l) : 1 <= kl <= N}; its size is at least N ln N - N."""
+def dn_set(n: int, cap: int = DEFAULT_CAP) -> CountingSet:
+    """{(k, l) : 1 <= kl <= N}; its size is at least N ln N - N. Raises
+    BudgetExceededError when it has more than cap tuples."""
     if n < 1:
         raise PreconditionError("dn_set requires N >= 1")
+    # |D_N| >= N, and |D_N| = 2*(N//1 + ... + N//s) - s^2 for s = isqrt(N)
+    _within_budget(n, cap, "D_N")
+    s = math.isqrt(n)
+    _within_budget(2 * sum(n // k for k in range(1, s + 1)) - s * s, cap, "D_N")
     tuples = [(k, l) for k in range(1, n + 1) for l in range(1, n // k + 1)]
     if len(tuples) < n * math.log(n) - n:
         raise AssertionError("|D_N| fell below N ln N - N")
@@ -186,12 +199,17 @@ def totients(n: int) -> list[int]:
     return phi
 
 
-def _rn_pairs(n: int) -> tuple[list[tuple[int, int]], list[int]]:
+def _rn_pairs(n: int, cap: int) -> tuple[list[tuple[int, int]], list[int]]:
     """The coprime pairs (r, s), 1 <= s <= r <= N, in lexicographic order,
     and upto[m], the number of them with r <= m, for 0 <= m <= N. Both
-    halves of a tuple of R_N are such pairs, the second with r <= N/r1."""
+    halves of a tuple of R_N are such pairs, the second with r <= N/r1.
+    Raises BudgetExceededError when |R_N| certainly passes cap."""
     if n < 1:
         raise PreconditionError("rn_set requires N >= 1")
+    # at most N(N+1)/2 pairs are coprime, and R_N has at least that many
+    # tuples: (r, s) -> (r/g, s/g, g, 1), g = gcd(r, s), maps the pairs
+    # 1 <= s <= r <= N one to one into R_N
+    _within_budget(n * (n + 1) // 2, cap, "R_N")
     gcd = math.gcd
     pairs = [(r, s) for r in range(1, n + 1) for s in range(1, r + 1) if gcd(r, s) == 1]
     return pairs, [bisect.bisect_left(pairs, (m + 1,)) for m in range(n + 1)]
@@ -206,11 +224,13 @@ def _check_rn_size(n: int, size: int) -> None:
         raise AssertionError(f"|R_N| = {size} != totient formula {formula}")
 
 
-def rn_set(n: int) -> CountingSet:
+def rn_set(n: int, cap: int = DEFAULT_CAP) -> CountingSet:
     """Tuples (r1, r2, r3, r4) with 1 <= r2 <= r1 <= N, (r1, r2) = 1,
     1 <= r4 <= r3 <= N/r1, (r3, r4) = 1, in lexicographic order; size
-    cross-checked against the totient double-sum formula."""
-    pairs, upto = _rn_pairs(n)
+    cross-checked against the totient double-sum formula. Raises
+    BudgetExceededError when there are more than cap tuples."""
+    pairs, upto = _rn_pairs(n, cap)
+    _within_budget(sum(upto[n // r] for r, _ in pairs), cap, "R_N")
     tuples = tuple([a + b for a in pairs for b in pairs[:upto[n // a[0]]]])
     _check_rn_size(n, len(tuples))
     return CountingSet("R_N", n, tuples)
@@ -239,13 +259,13 @@ class TwoToOneReport:
         return self.max_fiber_size <= 2 and self.swap_fibers_ok and self.diagonal_ok
 
 
-def rn_two_to_one_check(n: int) -> TwoToOneReport:
+def rn_two_to_one_check(n: int, cap: int = DEFAULT_CAP) -> TwoToOneReport:
     """Group R_N by its image under f; every fiber has size <= 2, size-2
     fibers are swaps (r1,r2,r3,r4) <-> (r3,r4,r1,r2), diagonal tuples sit
     in singleton fibers. Exhaustive, so N is at most 400."""
     if n > 400:
         raise PreconditionError("rn_two_to_one_check is exhaustive only up to N=400")
-    pairs, upto = _rn_pairs(n)
+    pairs, upto = _rn_pairs(n, cap)
     # every coordinate of f(u) = (r2*r4, r2*r3 + r1*r4, r1*r3) lies in [0, 2N],
     # so in base B = 2N + 1 the image of u is the one int
     # (r2*B + r1)*(r4*B + r3): the product of the keys of its two pairs
@@ -281,9 +301,10 @@ class TotientSumReport:
     pointwise_checked_from: int = 3
 
 
-def totient_sum_check(n: int) -> TotientSumReport:
+def totient_sum_check(n: int, cap: int = DEFAULT_CAP) -> TotientSumReport:
     if n < 2:
         raise PreconditionError("totient_sum_check requires N >= 2")
+    _within_budget(n + 1, cap, "phi(0..N)")
     phi = totients(n)
     total = sum(phi[1:])
     ratio = total / ((3 / math.pi ** 2) * n * n)
@@ -332,22 +353,23 @@ WITNESS_BIT_BUDGET = 2 ** 12
 
 
 def delta_c_set(c: QuadElem, ring: RingOfIntegers, k_bound: int, n_bound: int,
-                m1: int = 1) -> DeltaCSet:
+                m1: int = 1, cap: int = DEFAULT_CAP) -> DeltaCSet:
     """Exact truncation {m1 * x * c^(2^n)} over lattice x with coordinates of
     absolute value <= k_bound and 0 <= n <= n_bound, deduplicated and
     sorted by embedding, ties broken by the exact value.
 
-    Raises BudgetExceededError instead of squaring a power with a
-    coordinate (numerator or denominator) of more than POWER_BIT_BUDGET / 2
-    bits, whose square would pass the budget."""
+    Raises BudgetExceededError when there are more than cap values before
+    deduplication, and instead of squaring a power with a coordinate
+    (numerator or denominator) of more than POWER_BIT_BUDGET / 2 bits, whose
+    square would pass the budget."""
     if k_bound < 1 or n_bound < 1:
         raise PreconditionError("delta_c_set requires positive bounds")
     if m1 < 1:
         raise PreconditionError("delta_c_set requires m1 >= 1")
     # values live in c's field; over Z the lattice is Z whatever c is
-    basis = c.ring if ring.is_rational else ring
-    if c.ring is not basis and not c.ring.is_rational:
-        raise FieldMismatchError(f"c of {c.field} not in ring over {ring.field}")
+    basis = RingOfIntegers(_common_field(c.field, ring.field))
+    _within_budget((n_bound + 1) * (2 * k_bound + 1) ** (1 if ring.is_rational else 2),
+                   cap, "Delta_c")
     t, n = basis.t, basis.n
     gcd = math.gcd
     powers = [(c.x0, c.x1, c.den)]
@@ -539,8 +561,8 @@ def delta_c_cluster_witness(c: QuadElem, ring: RingOfIntegers, n: int,
 
 # -- Kronecker gap collapse demo --------------------------------------------
 
-def kronecker_gap_demo(theta1: float, theta2: float, k_max: int,
-                       delta: float = 0.0) -> list[tuple[int, float]]:
+def kronecker_gap_demo(theta1: float, theta2: float, k_max: int, delta: float = 0.0,
+                       cap: int = DEFAULT_CAP) -> list[tuple[int, float]]:
     """Running minimum over |k*theta1 - l*theta2 - delta| for k, l in
     [-K, K]^2, (k, l) != (0, 0), reported as the envelope K -> min.
 
@@ -549,9 +571,11 @@ def kronecker_gap_demo(theta1: float, theta2: float, k_max: int,
     monotone; its least |.| therefore sits at the sign change, which
     bisection finds in O(log K) evaluations of the same expression. An edge
     whose fixed product is not finite yields only inf or NaN, which the
-    minimum never takes, and so does every edge when an input is not finite."""
+    minimum never takes, and so does every edge when an input is not finite.
+    Raises BudgetExceededError when K passes cap."""
     if k_max < 1:
         raise PreconditionError("kronecker_gap_demo requires K >= 1")
+    _within_budget(k_max, cap, "the envelope")
     if not all(map(math.isfinite, (theta1, theta2, delta))):
         return [(k_cur, math.inf) for k_cur in range(1, k_max + 1)]
     best = math.inf

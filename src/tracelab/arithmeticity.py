@@ -106,7 +106,7 @@ def _sustained_growth(maxima: Sequence[float]) -> bool:
 
 
 def conjugate_boundedness(traces: TraceSet) -> ConjugateGrowth:
-    """Running max of |t.embed(conjugate=True)| per even word-length shell.
+    """Running max of |t.conjugate().embed()| per even word-length shell.
 
     Not applicable for rational trace fields (no non-identity embedding) and
     for imaginary quadratic ones (identity and complex conjugation are both
@@ -179,7 +179,7 @@ def takeuchi_verdict(ball: Ball, pair_budget: int = DEFAULT_PAIR_BUDGET
     group), and every verdict is relative to the enumerated radius.
     """
     g2 = gamma2_traces(ball, pair_budget)
-    # every element has the sign-folded trace 2, i.e. trace_key (2, 0, 1, d)
+    # every element has the sign-folded trace 2, i.e. trace_key (2, 0, 1, ring)
     elementary = all(g.trace_key()[:3] == (2, 0, 1) for g in ball.word_length)
     fld = trace_field(g2) if g2.exact else QQ
     integ = integrality_check(g2)

@@ -32,8 +32,7 @@ from .qfield import (QQ, FieldDesc, QuadElem, RingOfIntegers, embed_elements,
 BUDGET_ENV = "TRACELAB_BUDGET"
 
 
-def _dec(x: float) -> str:
-    return format(float(x), ".17g")
+_DEC = "%.17g"  # a float's text: 17 significant digits read back exactly
 
 
 def _json_values(x):
@@ -70,18 +69,19 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _budget_default() -> int:
+def _budget() -> int:
+    """The element budget: $TRACELAB_BUDGET, else DEFAULT_CAP."""
     raw = os.environ.get(BUDGET_ENV)
     try:
-        return int(raw) if raw else DEFAULT_CAP
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV} must be an integer, not {raw!r}") from None
+        return _non_negative_int(raw) if raw else DEFAULT_CAP
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"{BUDGET_ENV} must be a non-negative integer, not {raw!r}") from None
 
 
 def _group_ball(args) -> tuple[GroupSpec, Ball]:
     """The group of --group or --spec-file and its ball of --radius, within
-    --cap elements (default: $TRACELAB_BUDGET, else DEFAULT_CAP)."""
-    cap = _budget_default() if args.cap is None else args.cap
+    --cap elements (default: the element budget)."""
+    cap = _budget() if args.cap is None else args.cap
     spec = (load_group_spec(args.spec_file) if args.spec_file is not None
             else catalog(args.group))
     return spec, enumerate_ball(spec, args.radius, cap)
@@ -94,16 +94,12 @@ def _ring_from_flag(text: str) -> RingOfIntegers:
     return ring_of_integers(FieldDesc(int(text)))
 
 
-def _csv(rows: Iterable[Sequence]) -> str:
-    """CSV text of rows, one line each."""
+def _table(rows: Iterable[Sequence], sep: str = ",") -> str:
+    """Text of rows, one line each, fields separated by sep: CSV, or with
+    sep " " the data format."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    csv.writer(buf, delimiter=sep, lineterminator="\n").writerows(rows)
     return buf.getvalue()
-
-
-def _data(rows: Iterable[Sequence]) -> str:
-    """Whitespace-separated text of rows, one line each."""
-    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
 
 
 Table = Callable[[], str]
@@ -137,15 +133,15 @@ def _emit(report: Report, args) -> None:
 
 def _value_rows(embedded: Sequence, sep: str, texts: Sequence = (), tail: Sequence = ()) -> str:
     """A table of embedded values, one line per value: its entry of `texts`
-    (when given), its real and imaginary parts as _dec writes them (0 for
+    (when given), its real and imaginary parts as _DEC writes them (0 for
     a float), then its entry of `tail` (when given), separated by `sep`.
     One %-format over the whole table writes them."""
     row, columns = ("%s" + sep, [texts]) if texts else ("", [])
     if complex in set(map(type, embedded)):
-        row += f"%.17g{sep}%.17g"
+        row += f"{_DEC}{sep}{_DEC}"
         columns += [map(attrgetter("real"), embedded), map(attrgetter("imag"), embedded)]
     else:
-        row += f"%.17g{sep}0"
+        row += f"{_DEC}{sep}0"
         columns.append(embedded)
     if tail:
         row += sep + "%s"
@@ -166,7 +162,8 @@ def cmd_enumerate(args) -> Report:
         "size": ball.size,
         "complete": ball.complete,
         "per_radius": [{"radius": r, "cumulative": c} for r, c in per_radius],
-    }, lambda: _csv([["radius", "cumulative_size"], *per_radius]), lambda: _data(per_radius))
+    }, lambda: _table([["radius", "cumulative_size"], *per_radius]),
+       lambda: _table(per_radius, " "))
 
 
 def cmd_traces(args) -> Report:
@@ -200,19 +197,19 @@ def cmd_cluster(args) -> Report:
         "mass": grid.mass,
         "gap": gap(ts.embedded) if len(set(ts.embedded)) >= 2 else None,
         "growth_slope": growth_profile(ts.embedded, list(range(1, args.max_n + 1)))[1],
-    }, lambda: _csv([["cell", "m", "n", "count"],
-                     *([idx, m, n, cnt] for idx, ((m, n), cnt) in enumerate(cells))]),
-       lambda: _data([m, n, cnt] for (m, n), cnt in cells))
+    }, lambda: _table([["cell", "m", "n", "count"],
+                       *([idx, m, n, cnt] for idx, ((m, n), cnt) in enumerate(cells))]),
+       lambda: _table(([m, n, cnt] for (m, n), cnt in cells), " "))
 
 
 def cmd_gap(args) -> Report:
     spec, ball = _group_ball(args)
     ts = trace_set(ball)
     val = gap(ts.embedded)
-    row = [ball.radius, _dec(val)]
+    row = [ball.radius, _DEC % val]
     return Report(lambda: {"command": "gap", "group": spec.name, "radius": ts.radius,
                            "n_traces": ts.size, "gap": val},
-                  lambda: _csv([["radius", "gap"], row]), lambda: _data([row]))
+                  lambda: _table([["radius", "gap"], row]), lambda: _table([row], " "))
 
 
 def cmd_growth(args) -> Report:
@@ -224,7 +221,7 @@ def cmd_growth(args) -> Report:
         "command": "growth", "group": spec.name, "radius": ts.radius,
         "counts": [{"n": n, "count": c} for n, c in counts],
         "slope": slope,
-    }, lambda: _csv([["n", "count"], *counts]), lambda: _data(counts))
+    }, lambda: _table([["n", "count"], *counts]), lambda: _table(counts, " "))
 
 
 def cmd_arith_check(args) -> Report:
@@ -240,8 +237,8 @@ def cmd_arith_check(args) -> Report:
                 ["elementary", report.elementary]]
     return Report(lambda: {"command": "arith-check", "group": spec.name,
                            "expected_class": spec.expected_class, **report.to_dict()},
-                  lambda: _csv(csv_rows),
-                  lambda: _data([s, _dec(m)] for s, m in zip(growth.shells, growth.maxima)))
+                  lambda: _table(csv_rows),
+                  lambda: _table(zip(growth.shells, map(_DEC.__mod__, growth.maxima)), " "))
 
 
 # |z| above 2^1026 has no finite embedding, whatever rounding the float
@@ -287,7 +284,7 @@ def cmd_delta_c(args) -> Report:
            lambda: _value_rows(embedded, " "))
     if _beyond_float_range(c, args.k_bound, args.n_bound, args.m1):
         raise PreconditionError(CELLS_NEED_FINITE_POINTS)
-    dset = delta_c_set(c, ring, args.k_bound, args.n_bound, m1=args.m1)
+    dset = delta_c_set(c, ring, args.k_bound, args.n_bound, m1=args.m1, cap=_budget())
     # only the JSON object counts cells, yet every format rejects an
     # infinite or NaN value as counting cells would: _beyond_float_range
     # decides only the values certainly out of range
@@ -313,20 +310,20 @@ def cmd_delta_c(args) -> Report:
 
 
 def cmd_counting(args) -> Report:
-    n = args.N
+    n, cap = args.N, _budget()
     if args.kind == "dn":
-        ds = dn_set(n)
+        ds = dn_set(n, cap)
         return Report(lambda: {"command": "counting", "kind": "dn", "N": n, "size": ds.size,
                                "lower_bound": n * math.log(n) - n},
-                      lambda: _csv([["k", "l"], *ds.tuples]), lambda: _data(ds.tuples))
+                      lambda: _table([["k", "l"], *ds.tuples]), lambda: _table(ds.tuples, " "))
     if args.kind == "rn":
-        rs = rn_set(n)  # rn_set checks its size against the totient formula
+        rs = rn_set(n, cap)  # rn_set checks its size against the totient formula
         return Report(lambda: {"command": "counting", "kind": "rn", "N": n, "size": rs.size,
                                "totient_formula": rs.size, "ratio_n2": rs.size / (n * n)},
-                      lambda: _csv([["r1", "r2", "r3", "r4"], *rs.tuples]),
-                      lambda: _data(rs.tuples))
+                      lambda: _table([["r1", "r2", "r3", "r4"], *rs.tuples]),
+                      lambda: _table(rs.tuples, " "))
     if args.kind == "two-to-one":
-        rep = rn_two_to_one_check(n)
+        rep = rn_two_to_one_check(n, cap)
         rows = [["n_tuples", rep.n_tuples], ["n_fibers", rep.n_fibers],
                 ["max_fiber_size", rep.max_fiber_size], ["ok", rep.ok]]
         return Report(lambda: {"command": "counting", "kind": "two-to-one", "N": n,
@@ -334,31 +331,31 @@ def cmd_counting(args) -> Report:
                                "max_fiber_size": rep.max_fiber_size,
                                "swap_fibers_ok": rep.swap_fibers_ok,
                                "diagonal_ok": rep.diagonal_ok, "ok": rep.ok},
-                      lambda: _csv([["key", "value"], *rows]), lambda: _data(rows))
-    rep = totient_sum_check(n)
+                      lambda: _table([["key", "value"], *rows]), lambda: _table(rows, " "))
+    rep = totient_sum_check(n, cap)
     rows = [["sum_phi", rep.sum_phi],
-            ["ratio", _dec(rep.ratio_to_asymptotic)],
+            ["ratio", _DEC % rep.ratio_to_asymptotic],
             ["pointwise_ok", rep.pointwise_ok]]
     return Report(lambda: {"command": "counting", "kind": "totient", "N": n,
                            "sum_phi": rep.sum_phi,
                            "ratio_to_asymptotic": rep.ratio_to_asymptotic,
                            "pointwise_ok": rep.pointwise_ok,
                            "pointwise_checked_from": rep.pointwise_checked_from},
-                  lambda: _csv([["key", "value"], *rows]), lambda: _data(rows))
+                  lambda: _table([["key", "value"], *rows]), lambda: _table(rows, " "))
 
 
 def cmd_kronecker(args) -> Report:
-    env = kronecker_gap_demo(args.theta1, args.theta2, args.K, args.delta)
+    env = kronecker_gap_demo(args.theta1, args.theta2, args.K, args.delta, _budget())
 
     def rows():
-        return ([k, _dec(m)] for k, m in env)
+        return ([k, _DEC % m] for k, m in env)
 
     return Report(lambda: {
         "command": "kronecker", "theta1": args.theta1, "theta2": args.theta2,
         "K": args.K, "delta": args.delta,
         "final_min": env[-1][1],
         "envelope": [{"K": k, "min": m} for k, m in env],
-    }, lambda: _csv([["K", "min"], *rows()]), lambda: _data(rows()))
+    }, lambda: _table([["K", "min"], *rows()]), lambda: _table(rows(), " "))
 
 
 def cmd_corollary(args) -> Report:
@@ -375,7 +372,7 @@ def cmd_corollary(args) -> Report:
                        for a, b, d in rep.violations],
         "has_two": rep.has_two, "has_four": rep.has_four,
         "identities_ok": rep.identities_ok, "pairs_checked": rep.pairs_checked,
-    }, lambda: _csv([["key", "value"], *rows]), lambda: _data(rows))
+    }, lambda: _table([["key", "value"], *rows]), lambda: _table(rows, " "))
 
 
 # -- argument parsing --------------------------------------------------------
@@ -385,7 +382,7 @@ def _add_group_args(p: argparse.ArgumentParser) -> None:
     src.add_argument("--group", help="catalog group name, e.g. psl2z, hecke(5)")
     src.add_argument("--spec-file", help="path to a JSON group-spec file")
     p.add_argument("--radius", type=int, required=True, help="word-ball radius")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=_non_negative_int, default=None,
                    help=f"element budget (default {DEFAULT_CAP}, env {BUDGET_ENV})")
 
 

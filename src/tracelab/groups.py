@@ -145,17 +145,17 @@ def _sorted_traces(prov: dict[QuadElem, int]) -> list[QuadElem]:
 
 def trace_set(ball: Ball, reduced: bool = True) -> TraceSet:
     # least word length per distinct trace, keyed by its exact integer form;
-    # only one element per distinct trace is converted to a QuadElem
-    least: dict[tuple, tuple[int, ProjMat]] = {}
+    # each distinct trace becomes a QuadElem once, from its key
+    least: dict[tuple, int] = {}
     get = least.get
     for g, wl in ball.word_length.items():
         if reduced and g.is_identity():
             continue
         key = g.trace_key()
         old = get(key)
-        if old is None or wl < old[0]:
-            least[key] = (wl, g)
-    prov = {g.trace(): wl for wl, g in least.values()}
+        if old is None or wl < old:
+            least[key] = wl
+    prov = {QuadElem(ring, den, t0, t1): wl for (t0, t1, den, ring), wl in least.items()}
     exact = _sorted_traces(prov)
     return TraceSet(tuple(exact), tuple(embed_elements(exact)),
                     {t: prov[t] for t in exact}, reduced, ball.radius)

@@ -15,16 +15,10 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import PreconditionError
-from .qfield import (QQ, FieldDesc, QuadElem, RingOfIntegers, _common_field,
+from .qfield import (QQ, FieldDesc, QuadElem, RingOfIntegers, _common_field, _power,
                      format_quadelem, parse_quadelem)
 
 Scalar = Union[int, Fraction, QuadElem]
-
-
-def _as_elem(x: Scalar, field: FieldDesc) -> QuadElem:
-    if isinstance(x, QuadElem):
-        return x
-    return QuadElem.rational(x, field)
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,7 +31,7 @@ class Mat2:
     d: QuadElem
 
     def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
+        det = self.det()
         if not (det.x0 == 1 and det.x1 == 0 and det.den == 1):
             raise ValueError(f"determinant is {format_quadelem(det)}, not 1")
 
@@ -49,13 +43,12 @@ class Mat2:
             for x in (a, b, c, d):
                 if isinstance(x, QuadElem):
                     field = _common_field(field, x.field)
-        return Mat2(*(_as_elem(x, field) for x in (a, b, c, d)))
+        return Mat2(*(x if isinstance(x, QuadElem) else QuadElem.rational(x, field)
+                      for x in (a, b, c, d)))
 
     @staticmethod
     def identity(field: FieldDesc = QQ) -> Mat2:
-        one = QuadElem.rational(1, field)
-        zero = QuadElem.rational(0, field)
-        return Mat2(one, zero, zero, one)
+        return Mat2.of(1, 0, 0, 1, field)
 
     @property
     def field(self) -> FieldDesc:
@@ -85,16 +78,7 @@ class Mat2:
         return self.a * self.d - self.b * self.c
 
     def __pow__(self, n: int) -> Mat2:
-        if n < 0:
-            return self.adj() ** (-n)
-        result = Mat2.identity(self.a.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self.adj() if n < 0 else self, abs(n), Mat2.identity(self.a.field))
 
 
 def canonical_trace(t: QuadElem) -> QuadElem:
@@ -118,8 +102,8 @@ class ProjMat:
     tuple is in lowest terms (gcd(den, *x) == 1) and sign-canonical: the
     first nonzero entry has positive embedded real part, ties broken by
     positive imaginary part. So products, inverses, equality and hashing
-    are exact integer operations. Build elements with of, make or
-    identity; the determinant is checked there, when the Mat2 is made.
+    are exact integer operations. Build elements with of or identity; the
+    determinant is checked there, when the Mat2 is made.
     """
 
     __slots__ = ("_ring", "den", "x", "_hash")
@@ -185,11 +169,13 @@ class ProjMat:
 
     def trace(self) -> QuadElem:
         """The trace a + d, sign-folded as canonical_trace folds it."""
-        t0, t1, den, _ = self.trace_key()
-        return QuadElem(self._ring, den, t0, t1)
+        t0, t1, den, ring = self.trace_key()
+        return QuadElem(ring, den, t0, t1)
 
     def trace_key(self) -> tuple:
-        """trace() as exact integers: equal keys iff equal traces."""
+        """trace() as its coordinates (t0, t1, den) and ring, the arguments
+        of QuadElem in another order: equal keys iff equal traces, as rings
+        are one per field."""
         x, den = self.x, self.den
         t0, t1 = x[0] + x[6], x[1] + x[7]
         if den != 1:
@@ -197,7 +183,7 @@ class ProjMat:
             den, t0, t1 = den // g, t0 // g, t1 // g
         if self._ring.sign(t0, t1) < 0:
             t0, t1 = -t0, -t1
-        return (t0, t1, den, self._ring.field.d)
+        return (t0, t1, den, self._ring)
 
     def is_identity(self) -> bool:
         return self.den == 1 and self.x == _IDENTITY
@@ -273,15 +259,13 @@ def cusp_normalize(p: ProjMat, g: ProjMat) -> tuple[ProjMat, QuadElem]:
     if (x is _INFINITY and y is _INFINITY) or (
             x is not _INFINITY and y is not _INFINITY and (x - y).is_zero()):
         raise PreconditionError("cusp_normalize requires g to move the fixed point of p")
-    one = QuadElem.rational(1, field)
-    zero = QuadElem.rational(0, field)
     if x is _INFINITY:
-        h = Mat2(one, -y, zero, one)
+        h = Mat2.of(1, -y, 0, 1, field)
     elif y is _INFINITY:
-        h = Mat2(zero, -one, one, -x)
+        h = Mat2.of(0, -1, 1, -x, field)
     else:
-        alpha = one / (y - x)
-        h = Mat2(alpha, -alpha * y, one, -x)
+        alpha = 1 / (y - x)
+        h = Mat2.of(alpha, -alpha * y, 1, -x, field)
     hinv = h.adj()
     upper = h * p.rep * hinv
     lower = h * (g.rep * p.rep * g.rep.adj()) * hinv
@@ -327,14 +311,11 @@ def an_iteration(m: Mat2, n: int) -> Mat2:
 
 def parabolic_shift_trace(a_n: Mat2, k: Scalar) -> QuadElem:
     """Trace of A_n (1, k; 0, 1), which equals 2 + (k+1) c^(2^n)."""
-    field = a_n.field
-    kk = _as_elem(k, field)
     c = a_n.c
     if not (a_n.trace() - (c + 2)).is_zero():
         raise PreconditionError("parabolic_shift_trace requires a matrix of trace 2 + c")
-    shift = Mat2(QuadElem.rational(1, field), kk,
-                 QuadElem.rational(0, field), QuadElem.rational(1, field))
-    expected = (kk + 1) * c + 2
+    shift = Mat2.of(1, k, 0, 1, a_n.field)
+    expected = (shift.b + 1) * c + 2
     actual = (a_n * shift).trace()
     if not (actual - expected).is_zero():
         raise AssertionError("shifted trace is not 2 + (k+1) c")

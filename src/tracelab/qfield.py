@@ -177,11 +177,9 @@ class QuadElem:
         not a QuadElem, int or Fraction."""
         ring = self.ring
         if isinstance(other, QuadElem):
-            if other.ring is ring or other.ring.is_rational:
-                return ring, other
-            if ring.is_rational:
-                return other.ring, other
-            raise FieldMismatchError(f"cannot mix elements of {ring.field} and {other.field}")
+            if other.ring is not ring:
+                ring = RingOfIntegers(_common_field(ring.field, other.field))
+            return ring, other
         if isinstance(other, (int, Fraction)):
             return ring, QuadElem(ring, other.denominator, other.numerator, 0)
         return None
@@ -232,15 +230,7 @@ class QuadElem:
         return NotImplemented if pair is None else pair[1] / self
 
     def __pow__(self, n: int):
-        if n < 0:
-            return (1 / self) ** (-n)
-        result, base = QuadElem(self.ring, 1, 1, 0), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(1 / self if n < 0 else self, abs(n), QuadElem(self.ring, 1, 1, 0))
 
     def __eq__(self, other):
         if not isinstance(other, QuadElem):
@@ -300,14 +290,25 @@ class QuadElem:
         d, e = self.den, y.den
         return ring.sign(self.x0 * e - y.x0 * d, self.x1 * e - y.x1 * d)
 
-    def embed(self, conjugate: bool = False):
+    def embed(self):
         """Double-precision value; complex for d < 0, float otherwise.
         Values beyond float range overflow to +-inf."""
-        x = self.conjugate() if conjugate else self
-        return x.ring.embed_values([x.x0], [x.x1], [x.den])[0]
+        return self.ring.embed_values([self.x0], [self.x1], [self.den])[0]
 
     def __repr__(self):
         return f"QuadElem({format_quadelem(self)!r}, field={self.field!r})"
+
+
+def _power(base, n: int, one):
+    """base^n for n >= 0 by square-and-multiply, from the identity one: the
+    power of QuadElem and of psl2.Mat2."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 def embed_elements(xs: Sequence[QuadElem]) -> list:
@@ -639,11 +640,22 @@ def divmod_ring(x: QuadElem, y: QuadElem, ring: RingOfIntegers) -> tuple[QuadEle
     return q, r
 
 
-def gcd_ring(x: QuadElem, y: QuadElem, ring: RingOfIntegers) -> QuadElem:
+def _euclid(x: QuadElem, y: QuadElem, ring: RingOfIntegers
+            ) -> tuple[QuadElem, QuadElem, QuadElem]:
+    """(g, u, v) with u*x + v*y = g, a gcd of x and y, by the extended
+    Euclidean algorithm over divmod_ring."""
+    one, zero = QuadElem.rational(1, ring.field), QuadElem.rational(0, ring.field)
+    u0, u1, v0, v1 = one, zero, zero, one
     while not y.is_zero():
-        _, r = divmod_ring(x, y, ring)
+        q, r = divmod_ring(x, y, ring)
         x, y = y, r
-    return ring.canonical_associate(x)
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    return x, u0, v0
+
+
+def gcd_ring(x: QuadElem, y: QuadElem, ring: RingOfIntegers) -> QuadElem:
+    return ring.canonical_associate(_euclid(x, y, ring)[0])
 
 
 def bezout(r: QuadElem, s: QuadElem, ring: RingOfIntegers
@@ -656,21 +668,10 @@ def bezout(r: QuadElem, s: QuadElem, ring: RingOfIntegers
     for z in (r, s):
         if not ring.contains(z):
             raise PreconditionError(f"{format_quadelem(z)} is not integral in the ring")
-    one = QuadElem.rational(1, ring.field)
-    zero = QuadElem.rational(0, ring.field)
-    u0, u1 = one, zero
-    v0, v1 = zero, one
-    a, b = r, s
-    while not b.is_zero():
-        q, rem = divmod_ring(a, b, ring)
-        a, b = b, rem
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    # u0*r + v0*s == a (the gcd)
-    if abs(a.norm()) != 1:
+    g, u, v = _euclid(r, s, ring)
+    if abs(g.norm()) != 1:
         return None
-    inv = a.conjugate() * QuadElem.rational(Fraction(1, int(a.norm())), ring.field)
-    u, v = u0 * inv, v0 * inv
+    u, v = u / g, v / g
     if not (u * r + v * s - 1).is_zero():
         raise AssertionError("Bezout identity u*r + v*s = 1 failed")
     return u, v

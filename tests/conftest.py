@@ -233,8 +233,8 @@ class FracQuad:
         diff = self - other
         return fraction_sign(diff.a, diff.b, diff.d)
 
-    def embed(self, conjugate: bool = False):
-        a, b = float(self.a), float(-self.b if conjugate else self.b)
+    def embed(self):
+        a, b = float(self.a), float(self.b)
         if self.d is None:
             return a
         if self.d > 0:

@@ -11,8 +11,8 @@ import pytest
 
 import tracelab
 
-from tracelab import (BudgetExceededError, FieldDesc, PreconditionError, QQ, QuadElem,
-                      RingOfIntegers, catalog, cluster_counts,
+from tracelab import (BudgetExceededError, FieldDesc, FieldMismatchError, PreconditionError,
+                      QQ, QuadElem, RingOfIntegers, catalog, cluster_counts,
                       delta_c_cluster_witness, delta_c_set, dn_set,
                       enumerate_ball, f_map, g_map, gap, growth_count,
                       growth_profile, is_delta_c_member, kronecker_gap_demo,
@@ -152,6 +152,29 @@ class TestCountingSets:
             assert ds.size >= n * math.log(n) - n
             # independent count
             assert ds.size == sum(n // k for k in range(1, n + 1))
+
+    def test_budgets_are_the_exact_sizes(self):
+        # each set is built at a budget of its size and refused below it
+        for n in (1, 2, 9, 40):
+            dn_size, rn_size = len(dn_set(n).tuples), len(rn_set(n).tuples)
+            assert dn_set(n, cap=dn_size).size == dn_size
+            assert rn_set(n, cap=rn_size).size == rn_size
+            with pytest.raises(BudgetExceededError, match="D_N"):
+                dn_set(n, cap=dn_size - 1)
+            with pytest.raises(BudgetExceededError, match="R_N"):
+                rn_set(n, cap=rn_size - 1)
+        totient_sum_check(40, cap=41)
+        with pytest.raises(BudgetExceededError):
+            totient_sum_check(40, cap=40)
+
+    def test_rn_holds_an_image_of_every_pair(self):
+        # the first budget check of R_N: (r, s) -> (r/g, s/g, g, 1) maps the
+        # N(N+1)/2 pairs 1 <= s <= r <= N one to one into R_N
+        for n in range(1, 81):
+            image = {(r // math.gcd(r, s), s // math.gcd(r, s), math.gcd(r, s), 1)
+                     for r in range(1, n + 1) for s in range(1, r + 1)}
+            assert len(image) == n * (n + 1) // 2
+            assert image <= set(rn_reference(n))
 
     def test_rn1(self):
         assert rn_set(1).tuples == ((1, 1, 1, 1),)
@@ -293,6 +316,21 @@ class TestDeltaCSet:
         with pytest.raises(BudgetExceededError, match=r"c\^\(2\^18\)"):
             delta_c_set(half, zz, 1, 18)
 
+    def test_c_of_another_field_is_refused(self):
+        with pytest.raises(FieldMismatchError, match="cannot mix elements"):
+            delta_c_set(q(1, 1, FieldDesc(5)), RingOfIntegers(FI), 2, 1)
+
+    def test_row_budget(self):
+        # (n_bound + 1)*(2*k_bound + 1)^rank values before deduplication
+        zz, gauss = RingOfIntegers(QQ), RingOfIntegers(FI)
+        c = q(Fraction(3, 2))
+        assert len(delta_c_set(c, zz, 2, 1, cap=10)) <= 10
+        with pytest.raises(BudgetExceededError, match="element budget 9"):
+            delta_c_set(c, zz, 2, 1, cap=9)
+        delta_c_set(c, gauss, 1, 1, cap=18)
+        with pytest.raises(BudgetExceededError, match="element budget 17"):
+            delta_c_set(c, gauss, 1, 1, cap=17)
+
     def test_rational_lattice_keeps_the_field_of_c(self):
         c = q(1, 1, FI)
         dset = delta_c_set(c, RingOfIntegers(QQ), 2, 1)
@@ -419,6 +457,11 @@ class TestKronecker:
     def test_commensurable_degenerate(self):
         env = kronecker_gap_demo(1.7, 1.7, 3)
         assert env[-1][1] == 0.0
+
+    def test_envelope_budget(self):
+        assert len(kronecker_gap_demo(math.sqrt(2), 1, 5, cap=5)) == 5
+        with pytest.raises(BudgetExceededError, match="element budget 4"):
+            kronecker_gap_demo(math.sqrt(2), 1, 5, cap=4)
 
     def test_k1_exhaustive(self):
         th1, th2, delta = 1.3, 0.4, 0.05

@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,6 +148,53 @@ def test_gap_beyond_float_range(spec_files, spec):
     assert strict_json(outputs["json"])["gap"] == json_gap
     assert outputs["csv"] == f"radius,gap\n2,{text_gap}\n"
     assert outputs["data"] == f"2 {text_gap}\n"
+
+
+# inputs whose tables pass the default element budget: each exits 3 before
+# it allocates, where it would otherwise fail with MemoryError or run long
+OVERSIZED = [
+    ["counting", "--kind", "totient", "--N", "10000000000"],
+    ["counting", "--kind", "dn", "--N", "10000000000"],
+    ["counting", "--kind", "rn", "--N", "10000000"],
+    ["delta-c", "--c", "3/2", "--ring", "Z", "--k-bound", "1000000000", "--n-bound", "1"],
+    ["delta-c", "--c", "1/2+1/2*sqrt(-1)", "--ring", "-1", "--k-bound", "100000",
+     "--n-bound", "1"],
+    ["kronecker", "--theta1", "1.5", "--theta2", "1", "--K", "10000000000"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED, ids=lambda argv: " ".join(argv[:3]))
+def test_oversized_tables_are_3_at_once(argv):
+    start = time.perf_counter()
+    assert assert_exit_contract(argv) == 3
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    # preconditions and the float-range exit of delta-c come before the budget
+    (["counting", "--kind", "totient", "--N", "1"], 4),
+    (["counting", "--kind", "dn", "--N", "0"], 4),
+    (["delta-c", "--c", "3/2", "--ring", "Z", "--k-bound", "0"], 4),
+    (["delta-c", "--c", "3/2", "--ring", "Z", "--m1", "0"], 4),
+    (["delta-c", "--c", "3/2", "--ring", "Z", "--n-bound", "40"], 4),
+    (["kronecker", "--theta1", "1.5", "--theta2", "1", "--K", "0"], 4),
+    (["counting", "--kind", "dn", "--N", "3"], 3),
+    (["kronecker", "--theta1", "1.5", "--theta2", "1", "--K", "3"], 3),
+])
+def test_budget_comes_after_the_preconditions(monkeypatch, argv, code):
+    monkeypatch.setenv("TRACELAB_BUDGET", "2")
+    assert assert_exit_contract(argv) == code
+
+
+@pytest.mark.parametrize("env, argv", [
+    (None, ["enumerate", "--group", "psl2z", "--radius", "3", "--cap", "-1"]),
+    ("-1", ["enumerate", "--group", "psl2z", "--radius", "3"]),
+    ("-1", ["counting", "--kind", "dn", "--N", "3"]),
+])
+def test_negative_budget_is_2(monkeypatch, env, argv):
+    if env is not None:
+        monkeypatch.setenv("TRACELAB_BUDGET", env)
+    assert assert_exit_contract(argv) == 2
 
 
 def test_empty_spec_file_path_is_2():

@@ -13,7 +13,7 @@ from tracelab.groups import (ARITHMETIC, NON_ARITHMETIC, GroupSpec,
 from tracelab.psl2 import parse_mat2
 from tracelab.qfield import EUCLIDEAN_IMAGINARY_D
 
-from conftest import catalog_reference, gamma2_ball_reference, projmat
+from conftest import catalog_reference, gamma2_ball_reference, mat2_least_traces, projmat
 
 FI = FieldDesc(-1)
 F5 = FieldDesc(5)
@@ -114,6 +114,20 @@ class TestTraceSet:
         back = Ball(ball.radius, dict(reversed(ball.word_length.items())))
         ts, ts_back = trace_set(ball), trace_set(back)
         assert ts_back.exact == ts.exact and ts_back.provenance == ts.provenance
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_traces_come_from_the_trace_keys(self, name, monkeypatch):
+        # trace_set builds each trace from its ProjMat.trace_key, never
+        # through ProjMat.trace; the Mat2 path gives the reference
+        ball = enumerate_ball(catalog(name), 4)
+        expected = mat2_least_traces((g.rep, wl) for g, wl in ball.word_length.items())
+
+        def no_trace(self):
+            raise AssertionError("trace_set called ProjMat.trace")
+
+        monkeypatch.setattr(ProjMat, "trace", no_trace)
+        ts = trace_set(ball)
+        assert ts.provenance == expected and set(ts.exact) == set(expected)
 
     def test_identity_only_ball_reduced_empty(self):
         spec = GroupSpec("trivial", (ProjMat.identity(),), QQ)

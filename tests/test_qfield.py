@@ -471,9 +471,9 @@ class TestPrimePowerFactor:
 class TestEmbed:
     def test_examples(self):
         assert abs(q(1, 1, F5).embed() - 3.23606797749979) < 1e-14
-        assert abs(q(1, 1, F5).embed(conjugate=True) + 1.2360679774997898) < 1e-14
+        assert abs(q(1, 1, F5).conjugate().embed() + 1.2360679774997898) < 1e-14
         assert q(2, 3, FI).embed() == complex(2, 3)
-        assert q(2, 3, FI).embed(conjugate=True) == complex(2, -3)
+        assert q(2, 3, FI).conjugate().embed() == complex(2, -3)
         assert q(Fraction(7, 2)).embed() == 3.5
 
 

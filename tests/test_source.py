@@ -33,17 +33,28 @@ def test_ring_rule_has_one_owner(rule):
 
 
 @pytest.mark.parametrize("text", ["90_000", "finite points", "2 + dd", "math.sqrt(-d)",
-                                  "GroupSpec("],
+                                  "GroupSpec(", "cannot mix elements", "n >>= 1",
+                                  "self.b * self.c", ".17g"],
                          ids=["default-pair-budget", "finite-points-message", "m2-squared",
-                              "float-rule", "group-spec-construction"])
+                              "float-rule", "group-spec-construction", "field-mixing",
+                              "square-and-multiply", "determinant", "float-text"])
 def test_written_once(text):
     # the default pair budget, the precondition of unit cells, the exact
     # M2^2 = (2 + d^2) + 2*sqrt(1 + d^2) of qfield.m_power_sign and the float
     # rule of RingOfIntegers.embed_values each have one owner, which the
     # other modules import; group_spec_from_dict builds every GroupSpec, the
-    # catalog's included
+    # catalog's included; qfield._common_field mixes Q with a quadratic
+    # field, qfield._power powers QuadElem and Mat2, Mat2.det is the one
+    # determinant and cli._DEC the one text of a float
     lines = _lines_with(text)
     assert len(lines) == 1, f"{text!r} written on {lines}"
+
+
+def test_euclid_loop_has_one_owner():
+    # qfield._euclid runs Euclid's algorithm for gcd_ring and bezout; the
+    # other division is bezout_bounded's reduction of v modulo r
+    lines = _lines_with("= divmod_ring(")
+    assert len(lines) == 2, f"divmod_ring called on {lines}"
 
 
 def test_unit_cells_have_one_owner():

@@ -199,27 +199,26 @@ def totients(n: int) -> list[int]:
     return phi
 
 
-def _rn_pairs(n: int, cap: int) -> tuple[list[tuple[int, int]], list[int]]:
+def _rn_pairs(n: int) -> tuple[list[tuple[int, int]], list[int]]:
     """The coprime pairs (r, s), 1 <= s <= r <= N, in lexicographic order,
     and upto[m], the number of them with r <= m, for 0 <= m <= N. Both
-    halves of a tuple of R_N are such pairs, the second with r <= N/r1.
-    Raises BudgetExceededError when |R_N| certainly passes cap."""
+    halves of a tuple of R_N are such pairs, the second with r <= N/r1."""
     if n < 1:
         raise PreconditionError("rn_set requires N >= 1")
-    # at most N(N+1)/2 pairs are coprime, and R_N has at least that many
-    # tuples: (r, s) -> (r/g, s/g, g, 1), g = gcd(r, s), maps the pairs
-    # 1 <= s <= r <= N one to one into R_N
-    _within_budget(n * (n + 1) // 2, cap, "R_N")
     gcd = math.gcd
     pairs = [(r, s) for r in range(1, n + 1) for s in range(1, r + 1) if gcd(r, s) == 1]
     return pairs, [bisect.bisect_left(pairs, (m + 1,)) for m in range(n + 1)]
 
 
-def _check_rn_size(n: int, size: int) -> None:
-    """Raise unless size is the totient double sum for |R_N|."""
+def _rn_size(n: int) -> int:
+    """|R_N| by the totient double sum."""
     phi = totients(n)
-    formula = sum(phi[i] * sum(phi[j] for j in range(1, n // i + 1))
-                  for i in range(1, n + 1))
+    return sum(phi[i] * sum(phi[j] for j in range(1, n // i + 1))
+               for i in range(1, n + 1))
+
+
+def _check_rn_size(size: int, formula: int) -> None:
+    """Raise unless size is the totient double sum formula for |R_N|."""
     if size != formula:
         raise AssertionError(f"|R_N| = {size} != totient formula {formula}")
 
@@ -229,10 +228,15 @@ def rn_set(n: int, cap: int = DEFAULT_CAP) -> CountingSet:
     1 <= r4 <= r3 <= N/r1, (r3, r4) = 1, in lexicographic order; size
     cross-checked against the totient double-sum formula. Raises
     BudgetExceededError when there are more than cap tuples."""
-    pairs, upto = _rn_pairs(n, cap)
-    _within_budget(sum(upto[n // r] for r, _ in pairs), cap, "R_N")
+    # R_N has at least N(N+1)/2 tuples: (r, s) -> (r/g, s/g, g, 1),
+    # g = gcd(r, s), maps the pairs 1 <= s <= r <= N one to one into it;
+    # this bound caps N before the totients are built (_rn_pairs refuses N < 1)
+    _within_budget(max(n, 0) * (n + 1) // 2, cap, "R_N")
+    size = _rn_size(n)
+    _within_budget(size, cap, "R_N")
+    pairs, upto = _rn_pairs(n)
     tuples = tuple([a + b for a in pairs for b in pairs[:upto[n // a[0]]]])
-    _check_rn_size(n, len(tuples))
+    _check_rn_size(len(tuples), size)
     return CountingSet("R_N", n, tuples)
 
 
@@ -259,13 +263,13 @@ class TwoToOneReport:
         return self.max_fiber_size <= 2 and self.swap_fibers_ok and self.diagonal_ok
 
 
-def rn_two_to_one_check(n: int, cap: int = DEFAULT_CAP) -> TwoToOneReport:
+def rn_two_to_one_check(n: int) -> TwoToOneReport:
     """Group R_N by its image under f; every fiber has size <= 2, size-2
     fibers are swaps (r1,r2,r3,r4) <-> (r3,r4,r1,r2), diagonal tuples sit
     in singleton fibers. Exhaustive, so N is at most 400."""
     if n > 400:
         raise PreconditionError("rn_two_to_one_check is exhaustive only up to N=400")
-    pairs, upto = _rn_pairs(n, cap)
+    pairs, upto = _rn_pairs(n)
     # every coordinate of f(u) = (r2*r4, r2*r3 + r1*r4, r1*r3) lies in [0, 2N],
     # so in base B = 2N + 1 the image of u is the one int
     # (r2*B + r1)*(r4*B + r3): the product of the keys of its two pairs
@@ -281,7 +285,7 @@ def rn_two_to_one_check(n: int, cap: int = DEFAULT_CAP) -> TwoToOneReport:
         half.update(map(keys[i].__mul__, keys[i + 1:upto[n // pairs[i][0]]]))
     diag = Counter(map(mul, keys[:roots], keys[:roots]))
     n_tuples = 2 * half.total() + diag.total()
-    _check_rn_size(n, n_tuples)
+    _check_rn_size(n_tuples, _rn_size(n))
     # the fiber of y has 2*half[y] + diag[y] tuples; one of size 2 is a
     # half tuple with its swap, or two diagonal tuples, which are no swap
     return TwoToOneReport(

@@ -323,7 +323,7 @@ def cmd_counting(args) -> Report:
                       lambda: _table([["r1", "r2", "r3", "r4"], *rs.tuples]),
                       lambda: _table(rs.tuples, " "))
     if args.kind == "two-to-one":
-        rep = rn_two_to_one_check(n, cap)
+        rep = rn_two_to_one_check(n)
         rows = [["n_tuples", rep.n_tuples], ["n_fibers", rep.n_fibers],
                 ["max_fiber_size", rep.max_fiber_size], ["ok", rep.ok]]
         return Report(lambda: {"command": "counting", "kind": "two-to-one", "N": n,

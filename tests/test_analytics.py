@@ -167,6 +167,15 @@ class TestCountingSets:
         with pytest.raises(BudgetExceededError):
             totient_sum_check(40, cap=40)
 
+    def test_rn_refuses_before_it_builds_pairs(self, monkeypatch):
+        # |R_3| = 7 passes a budget of 6 = 3*4/2, which the lower bound meets
+        def no_pairs(n):
+            raise AssertionError("the pairs were built")
+
+        monkeypatch.setattr(analytics, "_rn_pairs", no_pairs)
+        with pytest.raises(BudgetExceededError, match="R_N"):
+            rn_set(3, cap=6)
+
     def test_rn_holds_an_image_of_every_pair(self):
         # the first budget check of R_N: (r, s) -> (r/g, s/g, g, 1) maps the
         # N(N+1)/2 pairs 1 <= s <= r <= N one to one into R_N

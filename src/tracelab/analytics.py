@@ -205,8 +205,19 @@ def _rn_pairs(n: int) -> tuple[list[tuple[int, int]], list[int]]:
     halves of a tuple of R_N are such pairs, the second with r <= N/r1."""
     if n < 1:
         raise PreconditionError("rn_set requires N >= 1")
-    gcd = math.gcd
-    pairs = [(r, s) for r in range(1, n + 1) for s in range(1, r + 1) if gcd(r, s) == 1]
+    # the s prime to r are those no prime p | r divides; the multiples of p
+    # sit at mask[p-1::p]
+    primes: list[list[int]] = [[] for _ in range(n + 1)]  # the primes dividing r
+    for p in range(2, n + 1):
+        if not primes[p]:
+            for r in range(p, n + 1, p):
+                primes[r].append(p)
+    pairs: list[tuple[int, int]] = []
+    for r in range(1, n + 1):
+        mask = bytearray(b"\x01") * r
+        for p in primes[r]:
+            mask[p - 1::p] = bytes(r // p)
+        pairs += zip(repeat(r), itertools.compress(range(1, r + 1), mask))
     return pairs, [bisect.bisect_left(pairs, (m + 1,)) for m in range(n + 1)]
 
 

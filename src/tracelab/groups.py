@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import BudgetExceededError, PreconditionError
-from .psl2 import ProjMat, format_mat2, parse_mat2
+from .psl2 import ProjMat, parse_mat2
 from .qfield import QQ, FieldDesc, QuadElem, embed_elements
 
 DEFAULT_CAP = 5_000_000
@@ -85,16 +85,24 @@ def enumerate_ball(spec: GroupSpec, radius: int, cap: int = DEFAULT_CAP) -> Ball
         raise PreconditionError("enumerate_ball requires radius >= 1")
     ident = ProjMat.identity(spec.field)
     letters = _letters(spec)
+    # moves[i]: (letter, moves of the product) for every letter but the
+    # inverse of letters[i], which from an element first reached by
+    # letters[i] only leads back to its parent; moves[-1], of the identity,
+    # has every letter (_letters holds the inverse of each letter)
+    inverse = [letters.index(let.inv()) for let in letters]
+    moves: list[list] = [[] for _ in range(len(letters) + 1)]
+    for skip, out in zip(inverse + [None], moves):
+        out += [(let, moves[j]) for j, let in enumerate(letters) if j != skip]
     seen: dict[ProjMat, int] = {ident: 0}
-    frontier: list[ProjMat] = [ident]
+    frontier: list[tuple[ProjMat, list]] = [(ident, moves[-1])]
     for level in range(1, radius + 1):
-        new_frontier: list[ProjMat] = []
-        for g in frontier:
-            for let in letters:
+        new_frontier: list[tuple[ProjMat, list]] = []
+        for g, tries in frontier:
+            for let, then in tries:
                 h = g * let
                 if h not in seen:
                     seen[h] = level
-                    new_frontier.append(h)
+                    new_frontier.append((h, then))
             if len(seen) > cap:
                 done = level - 1
                 partial = Ball(done, {e: w for e, w in seen.items() if w <= done},
@@ -165,25 +173,26 @@ def gamma2_ball(ball: Ball, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Ball:
     """Squares of ball elements plus pairwise products of squares drawn from
     the largest sub-ball whose square count fits the pair budget; word
     lengths are inherited from the constructions."""
-    # one lookup per product: a key already present keeps its place and
-    # takes the smaller word length
-    prov: dict[ProjMat, int] = {}
-    get = prov.get
-    squares: list[tuple[ProjMat, int]] = []
-    for g, wl in ball.word_length.items():
-        sq, wl = g * g, 2 * wl
-        old = get(sq)
-        if old is None or wl < old:
-            prov[sq] = wl
-        squares.append((sq, wl))
+    # a repeated square, or the identity (the square of every element of
+    # order 2), only gives products an earlier pair already gave, with no
+    # smaller word length; so the pairs run over the distinct non-identity
+    # squares of the sub-ball, each at its first place with its least length
     sub_radius = max((r for r, n in ball.per_radius_counts()
                       if n * n <= pair_budget), default=0)
-    sub = [(sq, wl) for (sq, wl) in squares if wl <= 2 * sub_radius]
-    for s1, w1 in sub:
-        for s2, w2 in sub:
+    prov: dict[ProjMat, int] = {}
+    sub: dict[ProjMat, int] = {}
+    setdefault = prov.setdefault
+    for g, wl in ball.word_length.items():
+        sq, wl = g * g, 2 * wl
+        if setdefault(sq, wl) > wl:
+            prov[sq] = wl
+        if wl <= 2 * sub_radius and sub.setdefault(sq, wl) > wl:
+            sub[sq] = wl
+    squares = [(sq, wl) for sq, wl in sub.items() if not sq.is_identity()]
+    for s1, w1 in squares:
+        for s2, w2 in squares:
             h, wl = s1 * s2, w1 + w2
-            old = get(h)
-            if old is None or wl < old:
+            if setdefault(h, wl) > wl:
                 prov[h] = wl
     # deterministic order: by provenance, ties by insertion
     return Ball(2 * ball.radius, dict(sorted(prov.items(), key=itemgetter(1))))
@@ -240,15 +249,6 @@ def catalog(name: str) -> GroupSpec:
 
 
 # -- group spec files -------------------------------------------------------
-
-def group_spec_to_dict(spec: GroupSpec) -> dict:
-    return {
-        "name": spec.name,
-        "field_d": spec.field.d,
-        "generators": [format_mat2(g.rep) for g in spec.generators],
-        "expected_class": spec.expected_class,
-    }
-
 
 def _required(data: dict, key: str):
     if key not in data:

@@ -115,7 +115,8 @@ class ProjMat:
                 den //= g
                 x = tuple(v // g for v in x)
         i = 0 if x[0] or x[1] else 2  # a or b is nonzero, as ad - bc = 1
-        if ring.sign(x[i], x[i + 1]) < 0:
+        # a rational coordinate (x1 == 0) has the sign of x0
+        if (ring.sign(x[i], x[i + 1]) < 0) if x[i + 1] else x[i] < 0:
             x = tuple(map(operator.neg, x))
         self._ring = ring
         self.den = den
@@ -181,7 +182,7 @@ class ProjMat:
         if den != 1:
             g = math.gcd(den, t0, t1)
             den, t0, t1 = den // g, t0 // g, t1 // g
-        if self._ring.sign(t0, t1) < 0:
+        if (self._ring.sign(t0, t1) < 0) if t1 else t0 < 0:
             t0, t1 = -t0, -t1
         return (t0, t1, den, self._ring)
 

@@ -306,8 +306,9 @@ def _power(base, n: int, one):
     while n:
         if n & 1:
             result = result * base
-        base = base * base
         n >>= 1
+        if n:  # no square after the top bit
+            base = base * base
     return result
 
 

@@ -109,6 +109,35 @@ def gamma2_ball_reference(ball: Ball, pair_budget: int = 90_000) -> Ball:
     return Ball(2 * ball.radius, dict(sorted(prov.items(), key=lambda kv: kv[1])))
 
 
+def enumerate_ball_reference(spec: GroupSpec, radius: int, cap: int) -> Ball:
+    """groups.enumerate_ball on the Mat2 path, trying every letter at every
+    element: a ball of sign-canonical Mat2 in breadth-first order, or
+    BudgetExceededError with the same partial ball once cap runs out."""
+    letters = []
+    for g in spec.generators:
+        for m in (g.rep, g.rep.adj()):
+            m = mat2_canonical(m)
+            if not mat2_is_identity(m) and m not in letters:
+                letters.append(m)
+    seen = {Mat2.identity(spec.field): 0}
+    frontier = list(seen)
+    for level in range(1, radius + 1):
+        new_frontier = []
+        for g in frontier:
+            for let in letters:
+                h = mat2_canonical(g * let)
+                if h not in seen:
+                    seen[h] = level
+                    new_frontier.append(h)
+            if len(seen) > cap:
+                done = level - 1
+                raise BudgetExceededError(
+                    "budget", partial=Ball(done, {e: w for e, w in seen.items() if w <= done},
+                                           complete=False))
+        frontier = new_frontier
+    return Ball(radius, seen)
+
+
 # -- the hand-built catalog: the reference for its spec-file rows ---------
 
 _GAMMA0_TABLES = {

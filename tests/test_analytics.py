@@ -176,6 +176,16 @@ class TestCountingSets:
         with pytest.raises(BudgetExceededError, match="R_N"):
             rn_set(3, cap=6)
 
+    def test_rn_pairs_are_the_gcd_definition(self):
+        # the sieve's coprime pairs, in lexicographic order, and the count
+        # of pairs with r <= m
+        for n in range(1, 61):
+            pairs, upto = analytics._rn_pairs(n)
+            expected = [(r, s) for r in range(1, n + 1) for s in range(1, r + 1)
+                        if math.gcd(r, s) == 1]
+            assert pairs == expected
+            assert upto == [sum(1 for r, _ in expected if r <= m) for m in range(n + 1)]
+
     def test_rn_holds_an_image_of_every_pair(self):
         # the first budget check of R_N: (r, s) -> (r/g, s/g, g, 1) maps the
         # N(N+1)/2 pairs 1 <= s <= r <= N one to one into R_N

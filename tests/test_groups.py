@@ -8,15 +8,37 @@ from tracelab import (Ball, BudgetExceededError, FieldDesc, PreconditionError,
                       ProjMat, QQ, QuadElem, RingOfIntegers, catalog, catalog_names,
                       enumerate_ball, enumerate_largest_ball, format_quadelem,
                       gamma2_ball, groups, load_group_spec, trace_set)
-from tracelab.groups import (ARITHMETIC, NON_ARITHMETIC, GroupSpec,
-                             group_spec_from_dict, group_spec_to_dict)
-from tracelab.psl2 import parse_mat2
+from tracelab.groups import (ARITHMETIC, DEFAULT_CAP, NON_ARITHMETIC, GroupSpec,
+                             group_spec_from_dict)
+from tracelab.psl2 import format_mat2, parse_mat2
 from tracelab.qfield import EUCLIDEAN_IMAGINARY_D
 
-from conftest import catalog_reference, gamma2_ball_reference, mat2_least_traces, projmat
+from conftest import (catalog_reference, enumerate_ball_reference, gamma2_ball_reference,
+                      mat2_least_traces, projmat)
 
 FI = FieldDesc(-1)
 F5 = FieldDesc(5)
+
+# a spec-file group free of rank 2 (Sanov's subgroup of PSL(2, Z)), so its
+# ball of radius r has 2*3^r - 1 elements
+FREE_RANK_2 = {"name": "free", "field_d": None, "generators": ["[1,2;0,1]", "[1,0;2,1]"]}
+
+
+def spec_of(name):
+    return group_spec_from_dict(FREE_RANK_2) if name == "free" else catalog(name)
+
+
+def count_products(monkeypatch):
+    """Count the calls of ProjMat.__mul__ from here on: calls[0]."""
+    calls = [0]
+    mul = ProjMat.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(ProjMat, "__mul__", counted)
+    return calls
 
 
 def q(a, b=0, field=QQ):
@@ -99,6 +121,41 @@ class TestEnumerateBall:
     def test_radius_zero_rejected(self):
         with pytest.raises(PreconditionError):
             enumerate_ball(catalog("psl2z"), 0)
+
+    @pytest.mark.parametrize("name", catalog_names() + ["free"])
+    def test_matches_the_mat2_reference(self, name):
+        # the same elements, in the same order, with the same word lengths as
+        # a breadth-first search that tries every letter at every element
+        spec = spec_of(name)
+        ref = list(enumerate_ball_reference(spec, 4, DEFAULT_CAP).word_length.items())
+        sizes = []
+        for radius in range(1, 5):
+            ball = enumerate_ball(spec, radius)
+            assert (ball.radius, ball.complete) == (radius, True)
+            assert [(g.rep, wl) for g, wl in ball.word_length.items()] == [
+                (m, wl) for m, wl in ref if wl <= radius]
+            sizes.append(ball.size)
+        # and the same partial ball when the budget runs out, at every level
+        for cap in {1, 2, *sizes, *(n - 1 for n in sizes), *(n + 1 for n in sizes)}:
+            with pytest.raises(BudgetExceededError) as exc:
+                enumerate_ball_reference(spec, 5, cap)
+            ref_partial = exc.value.partial
+            with pytest.raises(BudgetExceededError) as exc:
+                enumerate_ball(spec, 5, cap)
+            partial = exc.value.partial
+            assert (partial.radius, partial.complete) == (ref_partial.radius, False)
+            assert [(g.rep, wl) for g, wl in partial.word_length.items()] == list(
+                ref_partial.word_length.items())
+
+    @pytest.mark.parametrize("radius", range(1, 7))
+    def test_free_group_products_are_all_new(self, radius, monkeypatch):
+        # no element is multiplied by the inverse of the letter that first
+        # reached it, so in a free group of rank 2 every product is new
+        spec = spec_of("free")
+        calls = count_products(monkeypatch)
+        ball = enumerate_ball(spec, radius)
+        assert ball.size == 2 * 3 ** radius - 1
+        assert calls[0] == ball.size - 1 == 2 * 3 ** radius - 2
 
 
 class TestTraceSet:
@@ -211,6 +268,21 @@ class TestGamma2Ball:
         prod = (a * a) * (b * b)
         assert prod in g2.word_length
 
+    @pytest.mark.parametrize("name", catalog_names() + ["free"])
+    def test_pairs_run_over_the_distinct_squares(self, name, monkeypatch):
+        # one product per ball element, then one per ordered pair of the
+        # distinct non-identity squares of the sub-ball
+        ball = enumerate_ball(spec_of(name), 4)
+        calls = count_products(monkeypatch)
+        for budget in (0, 100, 5000):
+            sub_radius = max((r for r, n in ball.per_radius_counts() if n * n <= budget),
+                             default=0)
+            squares = {g * g for g, wl in ball.word_length.items() if wl <= sub_radius}
+            u = len([sq for sq in squares if not sq.is_identity()])
+            calls[0] = 0
+            gamma2_ball(ball, budget)
+            assert calls[0] == ball.size + u * u
+
     @pytest.mark.parametrize("name", catalog_names())
     def test_matches_the_reference_loop(self, name):
         # the same elements with the same word lengths, in the same order,
@@ -298,8 +370,10 @@ class TestGroupSpecFiles:
     @pytest.mark.parametrize("name", catalog_names())
     def test_round_trip(self, name, tmp_path):
         spec = catalog(name)
-        data = group_spec_to_dict(spec)
-        assert data == groups._CATALOG[name]  # each row is the spec file the group writes
+        data = {"name": spec.name, "field_d": spec.field.d,
+                "generators": [format_mat2(g.rep) for g in spec.generators],
+                "expected_class": spec.expected_class}
+        assert data == groups._CATALOG[name]  # each row is the spec file of the group
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(data))
         loaded = load_group_spec(path)

@@ -14,8 +14,9 @@ from tracelab import (BudgetExceededError, FieldDesc, FieldMismatchError,
                       bezout_bounded, delta_c_set, format_quadelem, m1_constant,
                       m2_constant, parse_quadelem, ring_of_integers)
 from tracelab.groups import group_spec_from_dict
-from tracelab.qfield import (FACTOR_BOUND, _digits_int, _is_squarefree, _sqrt_ratio_float,
-                             divides, divmod_ring, gcd_ring, is_primary, prime_power_factor)
+from tracelab.qfield import (FACTOR_BOUND, _digits_int, _is_squarefree, _power,
+                             _sqrt_ratio_float, divides, divmod_ring, gcd_ring, is_primary,
+                             prime_power_factor)
 
 from conftest import rand_elem
 
@@ -59,6 +60,22 @@ class TestArithmetic:
         assert x ** 4 == x * x * x * x
         assert x ** 0 == q(1, 0, FI)
         assert x ** -2 == 1 / (x * x)
+
+    def test_power_squares_only_below_the_top_bit(self):
+        # square-and-multiply makes popcount(n) multiplications into the
+        # result and bit_length(n) - 1 squarings, none after the top bit
+        class Counted(int):
+            calls = 0
+
+            def __mul__(self, other):
+                Counted.calls += 1
+                return Counted(int(self) * int(other))
+
+        for n in range(70):
+            Counted.calls = 0
+            assert _power(Counted(3), n, Counted(1)) == 3 ** n
+            expected = n.bit_count() + n.bit_length() - 1 if n else 0
+            assert Counted.calls == expected, n
 
     def test_exact_results_in_lowest_terms(self, rng):
         for _ in range(200):

@@ -116,13 +116,13 @@ def conjugate_boundedness(traces: TraceSet) -> ConjugateGrowth:
         return ConjugateGrowth((), (), FLAG_NA_RATIONAL)
     if fld.is_imaginary:
         return ConjugateGrowth((), (), FLAG_NA_IMAGINARY)
-    max_wl = max(traces.provenance.values(), default=0)
-    shells = range(2, max_wl + 1, 2)
+    lengths = list(map(traces.provenance.__getitem__, traces.exact))
+    shells = range(2, max(lengths, default=0) + 1, 2)
     moduli = list(map(abs, embed_elements([t.conjugate() for t in traces.exact])))
     per_shell = []
     running = 0.0
     for s in shells:
-        vals = [m for m, t in zip(moduli, traces.exact) if traces.provenance[t] <= s]
+        vals = [m for m, wl in zip(moduli, lengths) if wl <= s]
         if vals:
             running = max(running, max(vals))
         per_shell.append(running)

@@ -8,7 +8,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import BudgetExceededError, PreconditionError
 from .psl2 import ProjMat, parse_mat2
@@ -20,6 +20,8 @@ DEFAULT_PAIR_BUDGET = 90_000  # of gamma2_ball
 ARITHMETIC = "arithmetic"
 NON_ARITHMETIC = "non_arithmetic"
 UNKNOWN = "unknown"
+
+_REAL_IMAG = attrgetter("real", "imag")
 
 
 @dataclass(frozen=True)
@@ -147,26 +149,57 @@ class TraceSet:
                         {t: prov[t] for t in exact}, self.reduced, radius)
 
 
-def _sorted_traces(prov: dict[QuadElem, int]) -> list[QuadElem]:
-    return sorted(prov, key=functools.cmp_to_key(lambda x, y: x.compare_embedded(y)))
+def _sorted_traces(traces: list[QuadElem]) -> tuple[list[int], list]:
+    """The indices of traces in compare_embedded order, and the embedded
+    traces in that order. A sort by float key (by (re, im) when a value is
+    complex) is certified by n - 1 exact comparisons of neighbours, as a
+    strict chain under a total order is the one sorted order; where a float
+    tie, a misrounded pair or a value past float range breaks the chain,
+    the comparator sorts instead."""
+    values = embed_elements(traces)
+    keys = values if complex not in map(type, values) else list(map(_REAL_IMAG, values))
+    order = sorted(range(len(traces)), key=keys.__getitem__)
+    ranked = list(map(traces.__getitem__, order))
+    if not all(x.compare_embedded(y) < 0 for x, y in zip(ranked, ranked[1:])):
+        order = sorted(range(len(traces)), key=functools.cmp_to_key(
+            lambda i, j: traces[i].compare_embedded(traces[j])))
+    return order, list(map(values.__getitem__, order))
 
 
-def trace_set(ball: Ball, reduced: bool = True) -> TraceSet:
-    # least word length per distinct trace, keyed by its exact integer form;
-    # each distinct trace becomes a QuadElem once, from its key
+def _least_word_lengths(items) -> dict[tuple, int]:
+    """The least word length per distinct trace of (element, word length)
+    pairs, keyed by the trace's exact integer form (ProjMat.trace_key)."""
     least: dict[tuple, int] = {}
     get = least.get
-    for g, wl in ball.word_length.items():
-        if reduced and g.is_identity():
-            continue
+    for g, wl in items:
         key = g.trace_key()
         old = get(key)
         if old is None or wl < old:
             least[key] = wl
-    prov = {QuadElem(ring, den, t0, t1): wl for (t0, t1, den, ring), wl in least.items()}
-    exact = _sorted_traces(prov)
-    return TraceSet(tuple(exact), tuple(embed_elements(exact)),
-                    {t: prov[t] for t in exact}, reduced, ball.radius)
+    return least
+
+
+def trace_set(ball: Ball, reduced: bool = True) -> TraceSet:
+    # the reduced set drops the identity without a test of every element:
+    # an enumerated ball lists it first, and a lookup of the identity over
+    # each field of the ball finds it anywhere else
+    word_length = ball.word_length
+    first = next(iter(word_length), None)
+    lead = reduced and first is not None and first.is_identity()
+    least = _least_word_lengths(itertools.islice(word_length.items(), lead, None))
+    if reduced:
+        fields = {key[3].field for key in least} | ({first.field} if lead else set())
+        idents = word_length.keys() & set(map(ProjMat.identity, fields))
+        if idents - {first}:
+            least = _least_word_lengths((g, wl) for g, wl in word_length.items()
+                                        if g not in idents)
+    # each distinct trace becomes a QuadElem once, from its key
+    traces = [QuadElem(ring, den, t0, t1) for t0, t1, den, ring in least]
+    order, embedded = _sorted_traces(traces)
+    exact = tuple(map(traces.__getitem__, order))
+    wls = list(least.values())
+    return TraceSet(exact, tuple(embedded), dict(zip(exact, map(wls.__getitem__, order))),
+                    reduced, ball.radius)
 
 
 def gamma2_ball(ball: Ball, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Ball:

@@ -475,15 +475,21 @@ class RingOfIntegers:
     def sign(self, x0: int, x1: int) -> int:
         """The embedded sign (embedded_sign) of x0 + x1*omega."""
         # the cases that need no comparison of squares, on the coordinates:
-        # a rational value, and over an imaginary ring the real part
-        # (2*x0 + t*x1)/2 with the imaginary part's sign that of x1
+        # a rational value; over an imaginary ring the real part
+        # (2*x0 + t*x1)/2 with the imaginary part's sign that of x1; and over
+        # a real ring, where omega > 0, x0 = 0 or x0 of x1's sign
         if not x1:
             return (x0 > 0) - (x0 < 0)
         d = self.field.d
         if d < 0:
             re = 2 * x0 + self.t * x1
             return (re > 0) - (re < 0) or (1 if x1 > 0 else -1)
-        return embedded_sign(*self.doubled(x0, x1), d)
+        if x1 > 0:
+            if x0 >= 0:
+                return 1
+        elif x0 <= 0:
+            return -1
+        return embedded_sign(2 * x0 + self.t * x1, self.s * x1, d)
 
     def sqrt_terms(self, x0: int, x1: int, den: int) -> tuple[int, int, int, int]:
         """(an, ad, bn, bd) with (x0 + x1*omega)/den = an/ad + (bn/bd)*sqrt(d)

@@ -105,6 +105,32 @@ class TestConjugateBoundedness:
         assert growth.flag == FLAG_UNBOUNDED
         assert len(growth.shells) >= 4
 
+    @pytest.mark.parametrize("name, squares", [("hecke(4)", False), ("hecke(6)", False),
+                                               ("hecke(5)", False), ("hecke(5)", True)])
+    def test_matches_the_lookup_per_shell(self, name, squares, monkeypatch):
+        # the word lengths are read once, one provenance lookup per trace;
+        # the reference looks each trace up again in every shell
+        ball = enumerate_ball(catalog(name), 6)
+        ts = gamma2_traces(ball, pair_budget=4000) if squares else trace_set(ball)
+        moduli = [abs(t.conjugate().embed()) for t in ts.exact]
+        shells = range(2, max(ts.provenance.values()) + 1, 2)
+        running, maxima = 0.0, []
+        for s in shells:
+            vals = [m for m, t in zip(moduli, ts.exact) if ts.provenance[t] <= s]
+            running = max([running, *vals])
+            maxima.append(running)
+        hashes = [0]
+        quad_hash = QuadElem.__hash__
+
+        def counted(self):
+            hashes[0] += 1
+            return quad_hash(self)
+
+        monkeypatch.setattr(QuadElem, "__hash__", counted)
+        growth = conjugate_boundedness(ts)
+        assert growth.shells == tuple(shells) and growth.maxima == tuple(maxima)
+        assert hashes[0] == ts.size
+
 
 class TestGamma2Traces:
     def test_psl2z_subset_of_integers(self, psl2z_ball_8):

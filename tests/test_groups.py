@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 from fractions import Fraction
@@ -8,6 +9,7 @@ from tracelab import (Ball, BudgetExceededError, FieldDesc, PreconditionError,
                       ProjMat, QQ, QuadElem, RingOfIntegers, catalog, catalog_names,
                       enumerate_ball, enumerate_largest_ball, format_quadelem,
                       gamma2_ball, groups, load_group_spec, trace_set)
+from tracelab.arithmeticity import gamma2_traces
 from tracelab.groups import (ARITHMETIC, DEFAULT_CAP, NON_ARITHMETIC, GroupSpec,
                              group_spec_from_dict)
 from tracelab.psl2 import format_mat2, parse_mat2
@@ -243,6 +245,116 @@ class TestTraceSet:
         sub = ts.restrict(4)
         direct = trace_set(enumerate_ball(catalog("psl2z"), 4))
         assert sub.exact == direct.exact
+
+    @pytest.mark.parametrize("order", ["enumerated", "reversed", "gamma2", "two-identities",
+                                       "identity-over-a-later-field"])
+    def test_identity_is_dropped_by_a_lookup(self, order, monkeypatch):
+        # the reduced trace set drops the identity without testing each
+        # element (it tests the first one): wherever the identity sits in
+        # the ball, and with the identities over Q and over the quadratic
+        # ring both present
+        ball = enumerate_ball(catalog("hecke(5)"), 4)
+        if order == "reversed":
+            ball = Ball(4, dict(reversed(ball.word_length.items())))
+        elif order == "gamma2":
+            ball = gamma2_ball(ball, 400)
+        elif order == "two-identities":
+            ball = Ball(2, {ProjMat.identity(F5): 0, projmat(1, 1, 0, 1): 1,
+                            projmat(1, q(0, 1, F5), 0, 1): 1, projmat(2, 1, 1, 1): 1,
+                            ProjMat.identity(QQ): 2})
+        elif order == "identity-over-a-later-field":
+            ball = Ball(2, {projmat(2, 1, 1, 1): 1, projmat(1, 1, 0, 1, F5): 2,
+                            projmat(1, q(0, 1, F5), 0, 1): 2, ProjMat.identity(F5): 0})
+        expected = mat2_least_traces((g.rep, wl) for g, wl in ball.word_length.items())
+        calls = [0]
+        is_identity = ProjMat.is_identity
+
+        def counted(self):
+            calls[0] += 1
+            return is_identity(self)
+
+        monkeypatch.setattr(ProjMat, "is_identity", counted)
+        ts = trace_set(ball)
+        assert calls[0] == 1
+        assert ts.provenance == expected and set(ts.exact) == set(expected)
+
+
+def comparator_order(traces):
+    return sorted(traces, key=functools.cmp_to_key(QuadElem.compare_embedded))
+
+
+def trace_matrix(t, field=QQ):
+    """[t, 1; -1, 0], of trace t."""
+    return projmat(t, 1, -1, 0, field)
+
+
+def lucas_and_fibonacci(n):
+    f = [0, 1]
+    while len(f) <= n + 1:
+        f.append(f[-1] + f[-2])
+    return f[n - 1] + f[n + 1], f[n]
+
+
+# pairs of distinct traces whose float keys do not order them: one float
+# for two integers, L_50 and F_50*sqrt(5) (2*|psi|^50 apart, at 2.8e10), and
+# a value whose parts overflow to +inf and -inf, so that it embeds as NaN
+FALLBACK_PAIRS = {
+    "one-float": lambda: [ProjMat.of(parse_mat2(text)) for text in (
+        "[100000000000000000000,99999999999999999999;1,1]",
+        "[100000000000000000001,100000000000000000000;1,1]")],
+    "lucas-fibonacci": lambda: [trace_matrix(q(lucas_and_fibonacci(50)[0], 0, F5), F5),
+                                trace_matrix(q(0, lucas_and_fibonacci(50)[1], F5), F5)],
+    "beyond-float-range": lambda: [trace_matrix(q(10 ** 400, -10 ** 399, F5), F5),
+                                   trace_matrix(q(3, 0, F5), F5)],
+}
+
+
+class TestCertifiedOrder:
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_is_the_comparator_order(self, name):
+        for radius in range(1, 6):
+            ball = enumerate_ball(catalog(name), radius)
+            for ts in (trace_set(ball), trace_set(ball, reduced=False)):
+                assert list(ts.exact) == comparator_order(ts.exact)
+        g2 = gamma2_traces(ball)
+        assert list(g2.exact) == comparator_order(g2.exact)
+        assert g2.embedded == tuple(t.embed() for t in g2.exact)
+
+    @pytest.mark.parametrize("case", FALLBACK_PAIRS)
+    def test_fallback_gives_the_comparator_order(self, case, monkeypatch):
+        mats = FALLBACK_PAIRS[case]()
+        fallbacks = []
+        cmp_to_key = functools.cmp_to_key
+
+        def spy(cmp):
+            fallbacks.append(cmp)
+            return cmp_to_key(cmp)
+
+        monkeypatch.setattr(functools, "cmp_to_key", spy)
+        sets = [trace_set(Ball(1, dict.fromkeys(order, 1))) for order in (mats, mats[::-1])]
+        monkeypatch.undo()
+        # the floats tie or misorder the pair in one insertion order, which
+        # the comparator sorts
+        assert len(fallbacks) == 1
+        expected = comparator_order(sets[0].exact)
+        for ts in sets:
+            assert list(ts.exact) == expected
+            assert list(map(repr, ts.embedded)) == [repr(t.embed()) for t in expected]
+            assert ts.provenance == dict.fromkeys(expected, 1)
+
+    @pytest.mark.parametrize("name", ["gamma0(6)", "hecke(5)", "bianchi(-3)"])
+    def test_certificate_is_one_comparison_per_neighbour_pair(self, name, monkeypatch):
+        ball = enumerate_ball(catalog(name), 5)
+        calls = [0]
+        compare = QuadElem.compare_embedded
+
+        def counted(self, other):
+            calls[0] += 1
+            return compare(self, other)
+
+        monkeypatch.setattr(QuadElem, "compare_embedded", counted)
+        ts = gamma2_traces(ball)
+        assert ts.size > 200 and calls[0] == ts.size - 1
 
 
 class TestGamma2Ball:

@@ -19,14 +19,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tracelab import (QQ, BudgetExceededError, FieldDesc, GroupSpec, Mat2,
                       PreconditionError, ProjMat, QuadElem, RingOfIntegers,
                       canonical_trace, cluster_counts, delta_c_cluster_witness,
                       delta_c_set, enumerate_ball, gap,
                       format_mat2, format_quadelem, kronecker_gap_demo,
-                      parse_mat2, parse_quadelem, ring_of_integers, trace_set)
+                      parse_mat2, parse_quadelem, qfield, ring_of_integers, trace_set)
 from tracelab.analytics import _exponent_schedule, lowest_terms
 from tracelab.cli import _beyond_float_range, _ring_from_flag
 from tracelab.groups import group_spec_from_dict
@@ -186,21 +186,57 @@ def ring_sign_inputs(draw):
     """(ring, x0, x1) over Z and nine quadratic rings, x0 and x1 often 0;
     half the quadratic draws put the doubled real part 2*x0 + t*x1 next to
     0 (imaginary) or next to -s*x1*sqrt(d) (real), with
-    2*omega = t + s*sqrt(d)."""
+    2*omega = t + s*sqrt(d). Over the real rings the other half draws x0
+    as 0, of x1's sign or of the opposite sign, a third each."""
     d = draw(st.sampled_from((None, -11, -7, -3, -2, -1, 2, 3, 5, 13)))
     ring = RingOfIntegers(QQ) if d is None else ring_of_integers(FieldDesc(d))
     x0, x1 = draw(ring_coords), 0 if d is None else draw(ring_coords)
     if d is not None and draw(st.booleans()):
         near = 0 if d < 0 else -math.isqrt(d * (ring.s * x1) ** 2) * (1 if x1 > 0 else -1)
         x0 = (near - ring.t * x1) // 2 + draw(st.integers(-2, 2))
+    elif d is not None and d > 0:
+        x0 = abs(x0) * draw(st.sampled_from((0, 1, -1))) * (-1 if x1 < 0 else 1)
     return ring, x0, x1
 
 
+REAL_SIGN_EXAMPLES = [(ring_of_integers(FieldDesc(d)), x0, x1) for d in (2, 3, 5, 13)
+                      for x0, x1 in ((0, 7), (0, -7), (3, 7), (-3, -7), (3, -7), (-3, 7))]
+
+
+def with_examples(examples):
+    def decorate(test):
+        for ex in examples:
+            test = example(ex)(test)
+        return test
+    return decorate
+
+
 @settings(max_examples=400, deadline=None, database=None)
+@with_examples(REAL_SIGN_EXAMPLES)
 @given(ring_sign_inputs())
 def test_ring_sign_matches_embedded_sign(drawn):
     ring, x0, x1 = drawn
     assert ring.sign(x0, x1) == embedded_sign(*ring.doubled(x0, x1), ring.field.d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13])
+def test_ring_sign_compares_squares_only_on_mixed_signs(d, monkeypatch):
+    # omega > 0 over a real ring, so x0 + x1*omega has x1's sign when x0
+    # is 0 or of x1's sign; only x0 and x1 of opposite signs need the
+    # comparison of squares in embedded_sign
+    ring = ring_of_integers(FieldDesc(d))
+    coords = [(x0, x1) for x0 in range(-39, 40, 3) for x1 in range(-39, 40, 3)]
+    expected = [embedded_sign(*ring.doubled(x0, x1), d) for x0, x1 in coords]
+    calls = []
+
+    def counted(a, b, d):
+        calls.append((a, b))
+        return embedded_sign(a, b, d)
+
+    monkeypatch.setattr(qfield, "embedded_sign", counted)
+    assert [ring.sign(x0, x1) for x0, x1 in coords] == expected
+    mixed = [ring.doubled(x0, x1) for x0, x1 in coords if x0 * x1 < 0]
+    assert calls == mixed and len(mixed) > 300
 
 
 REFERENCE_DS = (None, -11, -7, -3, -2, -1, 2, 3, 5, 13)

@@ -87,3 +87,22 @@ def test_runtime_imports_are_the_standard_library():
             outside += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_comparator_sorts_stay_off_the_hot_paths():
+    # a sort by an exact comparator makes n*log(n) comparisons; trace sets
+    # sort by float key and certify it with n - 1, so cmp_to_key runs only
+    # in the fallback of groups._sorted_traces and over the few units of
+    # RingOfIntegers.canonical_associate
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                users += [(path.name, func.name) for node in ast.walk(func)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "attr", getattr(node.func, "id", None))
+                          == "cmp_to_key"]
+    assert sorted(users) == [("groups.py", "_sorted_traces"),
+                             ("qfield.py", "canonical_associate")]
+    assert len(_lines_with("cmp_to_key(")) == 2

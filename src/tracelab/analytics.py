@@ -583,10 +583,12 @@ def kronecker_gap_demo(theta1: float, theta2: float, k_max: int, delta: float = 
 
     On each edge of the shell max(|k|, |l|) = K one index is fixed, and the
     float value is monotone in the other, since rounding to nearest is
-    monotone; its least |.| therefore sits at the sign change, which
-    bisection finds in O(log K) evaluations of the same expression. An edge
-    whose fixed product is not finite yields only inf or NaN, which the
-    minimum never takes, and so does every edge when an input is not finite.
+    monotone: it moves with theta1 along k and with -theta2 along l. Its
+    least |.| therefore sits at the sign change, which `_least_abs` finds
+    from the real zero in O(1) evaluations of the same expression, so the
+    envelope costs O(K) evaluations. An edge whose fixed product is not
+    finite yields only inf or NaN, which the minimum never takes, and so
+    does every edge when an input is not finite.
     Raises BudgetExceededError when K passes cap."""
     if k_max < 1:
         raise PreconditionError("kronecker_gap_demo requires K >= 1")
@@ -598,21 +600,45 @@ def kronecker_gap_demo(theta1: float, theta2: float, k_max: int, delta: float = 
     for k_cur in range(1, k_max + 1):
         # pairs with max(|k|, |l|) == k_cur; (0, 0) is never visited
         for l in (-k_cur, k_cur):
-            if math.isfinite(l * theta2):
-                best = min(best, _least_abs(lambda k: k * theta1 - l * theta2 - delta,
-                                            -k_cur, k_cur))
+            lt = l * theta2
+            if math.isfinite(lt):
+                best = min(best, _least_abs(lambda k: k * theta1 - lt - delta,
+                                            -k_cur, k_cur, theta1, lt + delta))
         for k in (-k_cur, k_cur):
-            if math.isfinite(k * theta1):
-                best = min(best, _least_abs(lambda l: k * theta1 - l * theta2 - delta,
-                                            1 - k_cur, k_cur - 1))
+            kt = k * theta1
+            if math.isfinite(kt):
+                best = min(best, _least_abs(lambda l: kt - l * theta2 - delta,
+                                            1 - k_cur, k_cur - 1, -theta2, delta - kt))
         envelope.append((k_cur, best))
     return envelope
 
 
-def _least_abs(value, lo: int, hi: int) -> float:
-    """min |value(i)| over lo <= i <= hi, for a value monotone in i and
-    never NaN: the least |.| is at the first i past the sign change or just
-    before it."""
+def _least_abs(value, lo: int, hi: int, slope: float, shift: float) -> float:
+    """min |value(i)| over lo <= i <= hi, for a value never NaN that is
+    monotone in i in the direction of slope, as slope*i - shift is.
+
+    The least |.| is at the first i past the sign change or just before it.
+    That i is first taken as ceil(shift / slope), the real zero, clamped to
+    [lo, hi + 1]. It is kept when value(i - 1) is below 0 and value(i) is
+    not, in the direction of slope (only one of them at an end of the
+    range); then the values in hand give the answer. A slope of 0, a zero
+    out of float range or a misplaced guess falls back to bisection, which
+    finds the same i in O(log(hi - lo)) evaluations."""
+    zero = shift / slope if slope else math.nan
+    if math.isfinite(zero):
+        i, direction = math.ceil(zero), (1.0 if slope > 0 else -1.0)
+        if i <= lo:
+            at = value(lo)
+            if direction * at >= 0:
+                return abs(at)
+        elif i > hi:
+            before = value(hi)
+            if direction * before < 0:
+                return abs(before)
+        else:
+            before, at = value(i - 1), value(i)
+            if direction * before < 0 <= direction * at:
+                return min(abs(before), abs(at))
     sign = 1.0 if value(lo) <= value(hi) else -1.0
     i = lo + bisect.bisect_left(range(lo, hi + 1), 0.0, key=lambda j: sign * value(j))
     return min(abs(value(j)) for j in (i - 1, i) if lo <= j <= hi)

@@ -105,13 +105,15 @@ def _sustained_growth(maxima: Sequence[float]) -> bool:
     return False
 
 
-def conjugate_boundedness(traces: TraceSet) -> ConjugateGrowth:
+def conjugate_boundedness(traces: TraceSet, field: Optional[FieldDesc] = None
+                          ) -> ConjugateGrowth:
     """Running max of |t.conjugate().embed()| per even word-length shell.
 
     Not applicable for rational trace fields (no non-identity embedding) and
     for imaginary quadratic ones (identity and complex conjugation are both
-    excluded, leaving nothing to test)."""
-    fld = trace_field(traces)
+    excluded, leaving nothing to test). field is trace_field(traces), taken
+    from a caller that has it already, or computed here when not given."""
+    fld = trace_field(traces) if field is None else field
     if fld.is_rational:
         return ConjugateGrowth((), (), FLAG_NA_RATIONAL)
     if fld.is_imaginary:
@@ -183,8 +185,7 @@ def takeuchi_verdict(ball: Ball, pair_budget: int = DEFAULT_PAIR_BUDGET
     elementary = all(g.trace_key()[:3] == (2, 0, 1) for g in ball.word_length)
     fld = trace_field(g2) if g2.exact else QQ
     integ = integrality_check(g2)
-    growth = (conjugate_boundedness(g2) if g2.exact
-              else ConjugateGrowth((), (), FLAG_NA_RATIONAL))
+    growth = conjugate_boundedness(g2, fld)
     witness: Optional[str] = None
     if elementary:
         verdict = VERDICT_INCONCLUSIVE

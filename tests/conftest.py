@@ -415,6 +415,12 @@ def gap_reference(points) -> float:
 # -- the exhaustive loops: the reference for kronecker_gap_demo, rn_set and
 # -- rn_two_to_one_check ---------------------------------------------------
 
+# the float specials a Kronecker envelope is tested at: signed zeros,
+# subnormals, magnitudes at either end of float range, infinities and NaN
+KRONECKER_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308,
+                      math.inf, -math.inf, math.nan)
+
+
 def kronecker_reference(theta1: float, theta2: float, k_max: int,
                         delta: float = 0.0) -> list:
     """The envelope K -> min |k*theta1 - l*theta2 - delta| over every pair of

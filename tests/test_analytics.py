@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,7 +25,8 @@ from tracelab import analytics, qfield
 from tracelab.analytics import POWER_BIT_BUDGET, WITNESS_BIT_BUDGET
 from tracelab.qfield import prime_power_factor
 
-from conftest import delta_c_reference, rn_reference, two_to_one_reference
+from conftest import (KRONECKER_SPECIALS, delta_c_reference, kronecker_reference,
+                      rn_reference, two_to_one_reference)
 from test_acceptance import CLI_COMMANDS
 from test_golden import golden_path
 
@@ -489,6 +491,79 @@ class TestKronecker:
                      for k in (-1, 0, 1) for l in (-1, 0, 1)
                      if (k, l) != (0, 0))
         assert env[0][1] == oracle
+
+    def test_matches_exhaustive_loop_past_the_property_range(self):
+        # the property test stops at K = 40; here K runs to 120 over one scale
+        # in 1e-20..1e20 per input, the float specials and the commensurable
+        # theta2 = theta1 and 2*theta1, whose zeros fall on integers
+        rng = random.Random(20261020)
+
+        def draw(scale):
+            if rng.random() < 0.2:
+                return rng.choice(KRONECKER_SPECIALS)
+            return rng.choice((1.0, -1.0)) * scale * rng.uniform(0.1, 10.0)
+
+        for _ in range(60):
+            scale = 10.0 ** rng.uniform(-20, 20)
+            theta1, delta = draw(scale), draw(scale)
+            theta2 = rng.choice((draw(scale), theta1, 2 * theta1))
+            k_max = rng.randint(41, 120)
+            assert repr(kronecker_gap_demo(theta1, theta2, k_max, delta)) == repr(
+                kronecker_reference(theta1, theta2, k_max, delta)), (theta1, theta2, delta)
+
+    @pytest.mark.parametrize("theta1, theta2, delta, k_max",
+                             [(0.0, -2.667604741847276e-06, 0.0, 7),
+                              (5e-324, 1.1082327570555277, 0.0, 11),
+                              (3.8402672127825075e+17, 1e-300, 0.0, 17),
+                              (-396730.5000873442, -132243.50002911474, 0.0, 20),
+                              (-0.08008604972273589, -0.08008604972273589, 1e-300, 27)],
+                             ids=["zero-slope", "subnormal-slope", "zero-past-float-range",
+                                  "misplaced-zero", "misplaced-zero-tiny-delta"])
+    def test_edges_without_a_usable_zero_bisect(self, theta1, theta2, delta, k_max,
+                                                monkeypatch):
+        # the last two have finite zeros on or next to integers, where the
+        # rounded values put the sign change one index off the estimate
+        calls = _count_bisections(monkeypatch)
+        assert repr(kronecker_gap_demo(theta1, theta2, k_max, delta)) == repr(
+            kronecker_reference(theta1, theta2, k_max, delta))
+        assert calls[0] > 0
+
+    @pytest.mark.parametrize("theta1, k_max", [(1.4142135623730951, 400), (math.sqrt(2), 100)],
+                             ids=["golden", "criterion-6"])
+    def test_estimated_zeros_need_no_bisection(self, theta1, k_max, monkeypatch):
+        calls = _count_bisections(monkeypatch)
+        kronecker_gap_demo(theta1, 1.0, k_max)
+        assert calls[0] == 0
+
+    def test_products_per_shell_do_not_grow_with_k(self):
+        # every k*theta1 the envelope forms calls theta1's __rmul__
+        class Counted(float):
+            products = 0
+
+            def __rmul__(self, other):
+                Counted.products += 1
+                return float.__rmul__(self, other)
+
+        per_shell = {}
+        for k_max in (100, 1000):
+            Counted.products = 0
+            kronecker_gap_demo(Counted(math.sqrt(2)), 1.0, k_max)
+            per_shell[k_max] = Counted.products / k_max
+        assert per_shell[1000] <= 10
+        assert per_shell[1000] <= per_shell[100]
+
+
+def _count_bisections(monkeypatch) -> list:
+    """A one-item list counting the bisect.bisect_left calls from here on."""
+    calls = [0]
+    bisect_left = analytics.bisect.bisect_left
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return bisect_left(*args, **kwargs)
+
+    monkeypatch.setattr(analytics.bisect, "bisect_left", counted)
+    return calls
 
 
 def _fresh_python(code: str, *args: str) -> str:

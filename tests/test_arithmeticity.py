@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from tracelab import (FieldDesc, Mat2, PreconditionError, QQ, canonical_trace,
-                      QuadElem, catalog, conjugate_boundedness, enumerate_ball,
+from tracelab import (FieldDesc, Mat2, PreconditionError, QQ, arithmeticity,
+                      canonical_trace, QuadElem, catalog, catalog_names,
+                      conjugate_boundedness, enumerate_ball,
                       gamma2_traces, integrality_check,
                       subtraction_closure_check, takeuchi_verdict, trace_field,
                       trace_set)
@@ -196,6 +197,24 @@ class TestVerdicts:
         # the ball of S, of order 2, is {1, S}: its one non-identity trace decides
         spec = GroupSpec("one", (projmat(*entries),), QQ)
         assert not takeuchi_verdict(enumerate_ball(spec, 2)).elementary
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_trace_field_runs_once_per_verdict(self, name, monkeypatch):
+        # takeuchi_verdict hands its trace field to conjugate_boundedness,
+        # which finds the field itself only when called without one
+        ball = enumerate_ball(catalog(name), 5)
+        g2 = gamma2_traces(ball, pair_budget=1000)
+        expected = (trace_field(g2).d, conjugate_boundedness(g2))
+        calls = [0]
+
+        def counted(traces):
+            calls[0] += 1
+            return trace_field(traces)
+
+        monkeypatch.setattr(arithmeticity, "trace_field", counted)
+        rep = takeuchi_verdict(ball, pair_budget=1000)
+        assert calls[0] == 1
+        assert (rep.trace_field_d, rep.conjugate_growth) == expected
 
     def test_report_serialization(self, psl2z_ball_8):
         rep = takeuchi_verdict(psl2z_ball_8, pair_budget=4000)

@@ -8,7 +8,7 @@ against the QuadElem reference path, the `delta-c` csv and data tables
 against the row-by-row writer, cluster_counts against the point-by-point
 loop, gap against the spatial hash and full scan it replaced, the early
 float-range exit of `delta-c` against the exact path,
-the bisected Kronecker envelope against the exhaustive loop, the
+the edge-by-edge Kronecker envelope against the exhaustive loop, the
 literal parsers against the depth-counting splitters, the two-row division
 step against the 16-candidate search, and the exact exponent schedule of
 the witness against the float one."""
@@ -32,7 +32,8 @@ from tracelab.cli import _beyond_float_range, _ring_from_flag
 from tracelab.groups import group_spec_from_dict
 from tracelab.qfield import _sqrt_ratio_float, divmod_ring, embedded_sign, m2_constant
 
-from conftest import (FracQuad, cli_output, cluster_counts_reference, delta_c_reference,
+from conftest import (KRONECKER_SPECIALS, FracQuad, cli_output, cluster_counts_reference,
+                      delta_c_reference,
                       delta_c_tables_reference, divmod_ring_reference,
                       exponent_schedule_reference, gap_reference, kronecker_reference,
                       mat2_canonical,
@@ -448,8 +449,6 @@ def test_early_float_range_exit_only_where_exact_path_exits(drawn, big_m1):
         cluster_counts(dset.embedded)
 
 
-KRONECKER_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308,
-                      math.inf, -math.inf, math.nan)
 kronecker_floats = (st.sampled_from(KRONECKER_SPECIALS)
                     | st.builds(lambda m, s: s * m, st.floats(1e-20, 1e20),
                                 st.sampled_from((1.0, -1.0))))

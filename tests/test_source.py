@@ -34,10 +34,11 @@ def test_ring_rule_has_one_owner(rule):
 
 @pytest.mark.parametrize("text", ["90_000", "finite points", "2 + dd", "math.sqrt(-d)",
                                   "GroupSpec(", "cannot mix elements", "n >>= 1",
-                                  "self.b * self.c", ".17g"],
+                                  "self.b * self.c", ".17g", "bisect_left(range("],
                          ids=["default-pair-budget", "finite-points-message", "m2-squared",
                               "float-rule", "group-spec-construction", "field-mixing",
-                              "square-and-multiply", "determinant", "float-text"])
+                              "square-and-multiply", "determinant", "float-text",
+                              "envelope-bisection"])
 def test_written_once(text):
     # the default pair budget, the precondition of unit cells, the exact
     # M2^2 = (2 + d^2) + 2*sqrt(1 + d^2) of qfield.m_power_sign and the float
@@ -45,7 +46,8 @@ def test_written_once(text):
     # other modules import; group_spec_from_dict builds every GroupSpec, the
     # catalog's included; qfield._common_field mixes Q with a quadratic
     # field, qfield._power powers QuadElem and Mat2, Mat2.det is the one
-    # determinant and cli._DEC the one text of a float
+    # determinant and cli._DEC the one text of a float; analytics._least_abs
+    # bisects only where its estimated zero fails, the envelope's one search
     lines = _lines_with(text)
     assert len(lines) == 1, f"{text!r} written on {lines}"
 
